@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -23,57 +21,15 @@
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 
+#include "golden.hpp"
+
 namespace hs = hpcs::study;
 namespace hc = hpcs::container;
 namespace ho = hpcs::obs;
 namespace hw = hpcs::hw;
+using hpcs::test_support::expect_matches_golden;
 
 namespace {
-
-#ifndef HPCS_GOLDEN_DIR
-#error "HPCS_GOLDEN_DIR must point at tests/golden (set by CMake)"
-#endif
-
-std::string golden_path(const std::string& name) {
-  return std::string(HPCS_GOLDEN_DIR) + "/" + name;
-}
-
-bool update_mode() {
-  const char* env = std::getenv("HPCS_UPDATE_GOLDEN");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-/// Byte-exact comparison against tests/golden/<name>; with
-/// HPCS_UPDATE_GOLDEN=1 rewrites the reference instead.
-void expect_matches_golden(const std::string& name,
-                           const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (update_mode()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    std::cout << "[updated " << path << "]\n";
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with HPCS_UPDATE_GOLDEN=1";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string expected = buf.str();
-  if (expected != actual) {
-    std::istringstream es(expected), as(actual);
-    std::string el, al;
-    std::size_t line = 1;
-    while (std::getline(es, el) && std::getline(as, al) && el == al) ++line;
-    FAIL() << name << " diverges from golden at line " << line << "\n"
-           << "  golden: " << el << "\n"
-           << "  actual: " << al << "\n"
-           << "If the change is intentional, regenerate with "
-           << "HPCS_UPDATE_GOLDEN=1 and review the CSV diff.";
-  }
-}
 
 hs::Scenario cfd_scenario(int steps = 4) {
   // Containerized so the trace carries a real deployment subtree (pulls,

@@ -25,6 +25,8 @@
 #include "gateway/workload.hpp"
 #include "sim/rng.hpp"
 
+#include "golden.hpp"
+
 namespace hf = hpcs::fault;
 namespace hg = hpcs::gateway;
 namespace hc = hpcs::container;
@@ -411,6 +413,14 @@ TEST(ChaosGrid, CsvAndTraceAreBitIdenticalAcrossJobs) {
   // Observing must not perturb the scorecard (zero-cost-off contract).
   const auto blind = hg::run_chaos_grid(spec, 1, false);
   EXPECT_EQ(chaos_csv(serial), chaos_csv(blind));
+}
+
+// Pins the common-random-numbers seeds and the scorecard bytes, which
+// jobs 1-vs-4 identity alone cannot.
+TEST(ChaosGolden, ScorecardCsvMatchesReference) {
+  const auto grid = hg::run_chaos_grid(smoke_chaos(), 2, false);
+  hpcs::test_support::expect_matches_golden("chaos_grid.csv",
+                                            chaos_csv(grid));
 }
 
 TEST(ChaosGrid, MitigationBundlesShareTheStormPerHazardRuntime) {

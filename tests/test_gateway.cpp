@@ -18,6 +18,8 @@
 #include "gateway/workload.hpp"
 #include "sim/rng.hpp"
 
+#include "golden.hpp"
+
 namespace hg = hpcs::gateway;
 namespace hc = hpcs::container;
 namespace hf = hpcs::fault;
@@ -344,4 +346,13 @@ TEST(GatewayStudy, ObservedTraceIsBitIdenticalAcrossJobs) {
             parallel.aggregate_metrics().counter_value("gateway/arrivals"));
   EXPECT_GT(serial.aggregate_metrics().counter_value("gateway/arrivals"),
             0.0);
+}
+
+// Pins the seed derivation and the CSV bytes, which jobs 1-vs-4 identity
+// alone cannot: a change that shifted every cell's seed would still pass
+// that test.
+TEST(GatewayGolden, GridCsvMatchesReference) {
+  const auto grid = hg::run_gateway_grid(smoke_grid(), 2, false);
+  hpcs::test_support::expect_matches_golden("gateway_grid.csv",
+                                            grid_csv(grid));
 }

@@ -15,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -26,62 +24,20 @@
 #include "core/report.hpp"
 #include "hw/presets.hpp"
 
+#include "golden.hpp"
+
 namespace hs = hpcs::study;
 namespace hc = hpcs::container;
 namespace hw = hpcs::hw;
+using hpcs::test_support::expect_matches_golden;
+using hpcs::test_support::update_golden_mode;
 
 namespace {
-
-#ifndef HPCS_GOLDEN_DIR
-#error "HPCS_GOLDEN_DIR must point at tests/golden (set by CMake)"
-#endif
-
-std::string golden_path(const std::string& name) {
-  return std::string(HPCS_GOLDEN_DIR) + "/" + name;
-}
-
-bool update_mode() {
-  const char* env = std::getenv("HPCS_UPDATE_GOLDEN");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
 
 std::string figure_csv(const hs::Figure& fig) {
   std::ostringstream out;
   fig.write_csv(out);
   return out.str();
-}
-
-/// Byte-exact comparison against tests/golden/<name>; with
-/// HPCS_UPDATE_GOLDEN=1 rewrites the reference instead.
-void expect_matches_golden(const std::string& name,
-                           const std::string& actual) {
-  const std::string path = golden_path(name);
-  if (update_mode()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    std::cout << "[updated " << path << "]\n";
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — regenerate with HPCS_UPDATE_GOLDEN=1";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string expected = buf.str();
-  if (expected != actual) {
-    // Pinpoint the first divergent line before failing on the whole blob.
-    std::istringstream es(expected), as(actual);
-    std::string el, al;
-    std::size_t line = 1;
-    while (std::getline(es, el) && std::getline(as, al) && el == al) ++line;
-    FAIL() << name << " diverges from golden at line " << line << "\n"
-           << "  golden: " << el << "\n"
-           << "  actual: " << al << "\n"
-           << "If the change is intentional, regenerate with "
-           << "HPCS_UPDATE_GOLDEN=1 and review the CSV diff.";
-  }
 }
 
 hs::Series metric_series(
@@ -257,7 +213,7 @@ TEST(GoldenFigures, Fig3Mn4FsiScalability) {
 // byte: the collector only *reads* simulated state, and all its time comes
 // from the simulation clock, never from the host.
 TEST(GoldenFigures, ObservabilityDoesNotPerturbFigures) {
-  if (update_mode()) GTEST_SKIP() << "not a golden-producing test";
+  if (update_golden_mode()) GTEST_SKIP() << "not a golden-producing test";
   hs::RunnerOptions observed;
   observed.observe = true;
   const auto res = run_fig2(observed);
@@ -274,7 +230,7 @@ TEST(GoldenFigures, ObservabilityDoesNotPerturbFigures) {
 // The references themselves are jobs-invariant: rerunning fig1 serially
 // must reproduce the jobs=2 bytes exactly.
 TEST(GoldenFigures, ReferencesAreJobsInvariant) {
-  if (update_mode()) GTEST_SKIP() << "not a golden-producing test";
+  if (update_golden_mode()) GTEST_SKIP() << "not a golden-producing test";
   hs::CampaignSpec spec;
   spec.name = "golden-fig1";
   spec.cluster(hw::presets::lenox())

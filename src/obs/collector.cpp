@@ -42,16 +42,6 @@ TraceData MemorySink::take() {
   return out;
 }
 
-std::size_t MemorySink::span_count() const {
-  std::lock_guard lock(mutex_);
-  return data_.spans.size();
-}
-
-std::size_t MemorySink::instant_count() const {
-  std::lock_guard lock(mutex_);
-  return data_.instants.size();
-}
-
 Collector::Collector(std::shared_ptr<Sink> sink) : sink_(std::move(sink)) {}
 
 void Collector::span(int track, std::string_view name,

@@ -72,9 +72,6 @@ class MemorySink final : public Sink {
   /// Moves the collected events out (canonicalized).
   TraceData take();
 
-  std::size_t span_count() const;
-  std::size_t instant_count() const;
-
  private:
   mutable std::mutex mutex_;
   TraceData data_;

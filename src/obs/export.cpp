@@ -136,13 +136,6 @@ void write_phase_csv(std::ostream& out, const TraceData& data) {
              sim::CsvWriter::cell(s.duration)});
 }
 
-bool save_phase_csv(const std::string& path, const TraceData& data) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_phase_csv(out, data);
-  return out.good();
-}
-
 sim::Timeline to_timeline(const TraceData& data, double origin) {
   TraceData sorted = data;
   sorted.canonicalize();
@@ -230,13 +223,6 @@ void write_prom_exposition(std::ostream& out, const TimeSeries& ts) {
       out << metric << "_count{" << labels << "} " << sketch.count() << "\n";
     }
   }
-}
-
-bool save_prom_exposition(const std::string& path, const TimeSeries& ts) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_prom_exposition(out, ts);
-  return out.good();
 }
 
 }  // namespace hpcs::obs

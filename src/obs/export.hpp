@@ -59,7 +59,6 @@ bool save_chrome_trace(const std::string& path, const TraceData& data,
 /// span set, in canonical order — supersedes sim::Timeline::save_csv as
 /// the runner's export path.
 void write_phase_csv(std::ostream& out, const TraceData& data);
-bool save_phase_csv(const std::string& path, const TraceData& data);
 
 /// Legacy adapter: rebuilds a sim::Timeline from the "phase"-category
 /// spans, shifting starts by -\p origin (the execution phase's offset in
@@ -73,6 +72,5 @@ sim::Timeline to_timeline(const TraceData& data, double origin = 0.0);
 /// underscores; output order is canonical (kind-major, then name, then
 /// window), so identical stores expose identical bytes.
 void write_prom_exposition(std::ostream& out, const TimeSeries& ts);
-bool save_prom_exposition(const std::string& path, const TimeSeries& ts);
 
 }  // namespace hpcs::obs

@@ -100,11 +100,6 @@ std::map<std::string, double> Metrics::gauges() const {
   return gauges_;
 }
 
-std::map<std::string, sim::RunningStats> Metrics::histograms() const {
-  std::lock_guard lock(mutex_);
-  return histograms_;
-}
-
 void Metrics::write_json(std::ostream& out) const {
   std::lock_guard lock(mutex_);
   out << "{\n  \"counters\": {";

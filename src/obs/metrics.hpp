@@ -55,7 +55,6 @@ class Metrics {
   /// Snapshots for deterministic iteration (sorted by name).
   std::map<std::string, double> counters() const;
   std::map<std::string, double> gauges() const;
-  std::map<std::string, sim::RunningStats> histograms() const;
 
   /// Writes the registry as a JSON object ({"counters": ..., "gauges":
   /// ..., "histograms": ...}), keys sorted, %.17g numbers — byte-stable

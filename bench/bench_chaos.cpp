@@ -18,45 +18,20 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "gateway/chaos.hpp"
 #include "sim/table.hpp"
 
 namespace hg = hpcs::gateway;
 namespace hc = hpcs::container;
+namespace cli = hpcs::study;
 using hpcs::sim::TextTable;
 
 namespace {
-
-std::vector<std::string> split_list(const std::string& arg) {
-  std::vector<std::string> out;
-  std::stringstream stream(arg);
-  std::string item;
-  while (std::getline(stream, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-/// Fails fast on unwritable output paths (same probe-open contract as
-/// study_cli): parent directories are created, then the file is opened
-/// in append mode — better a clean error now than a lost run later.
-void probe_open(const std::string& flag, const std::string& path) {
-  if (path.empty()) return;
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (const fs::path parent = fs::path(path).parent_path(); !parent.empty())
-    fs::create_directories(parent, ec);
-  std::ofstream probe(path, std::ios::app);
-  if (!probe)
-    throw std::invalid_argument(flag + ": cannot open '" + path +
-                                "' for writing");
-}
 
 int usage(std::ostream& out, int code) {
   out << "usage: bench_chaos [options]\n"
@@ -109,38 +84,39 @@ int main(int argc, char** argv) {
       if (flag == "--help" || flag == "-h") {
         return usage(std::cout, 0);
       } else if (flag == "--jobs") {
-        jobs = std::stoi(value());
+        jobs = cli::parse_int(flag, value());
         if (jobs < 1) throw std::invalid_argument("--jobs: must be >= 1");
       } else if (flag == "--csv") {
         csv_path = value();
+        if (csv_path.empty()) throw std::invalid_argument("--csv: empty path");
       } else if (flag == "--trace-out") {
         trace_path = value();
       } else if (flag == "--metrics-out") {
         metrics_path = value();
       } else if (flag == "--hazards") {
-        spec.hazards = split_list(value());
+        spec.hazards = cli::split_list(value());
       } else if (flag == "--mitigations") {
-        spec.mitigations = split_list(value());
+        spec.mitigations = cli::split_list(value());
       } else if (flag == "--runtimes") {
         spec.runtimes.clear();
-        for (const std::string& name : split_list(value()))
+        for (const std::string& name : cli::split_list(value()))
           spec.runtimes.push_back(hc::runtime_from_string(name));
       } else if (flag == "--faults") {
         spec.faults = value();
       } else if (flag == "--load") {
-        spec.load = std::stod(value());
+        spec.load = cli::parse_double(flag, value());
       } else if (flag == "--churn") {
-        spec.churn = std::stod(value());
+        spec.churn = cli::parse_double(flag, value());
       } else if (flag == "--rate") {
-        spec.workload.base_rate_hz = std::stod(value());
+        spec.workload.base_rate_hz = cli::parse_double(flag, value());
       } else if (flag == "--tenants") {
-        spec.workload.tenants = std::stoi(value());
+        spec.workload.tenants = cli::parse_int(flag, value());
       } else if (flag == "--horizon") {
-        spec.workload.horizon_s = std::stod(value());
+        spec.workload.horizon_s = cli::parse_double(flag, value());
       } else if (flag == "--workers") {
-        spec.config.workers = std::stoi(value());
+        spec.config.workers = cli::parse_int(flag, value());
       } else if (flag == "--seed") {
-        spec.seed = std::stoull(value());
+        spec.seed = cli::parse_u64(flag, value());
       } else if (flag == "--check") {
         check = true;
       } else {
@@ -148,9 +124,9 @@ int main(int argc, char** argv) {
       }
     }
     spec.validate();
-    probe_open("--csv", csv_path);
-    probe_open("--trace-out", trace_path);
-    probe_open("--metrics-out", metrics_path);
+    cli::probe_output_path("--csv", csv_path);
+    cli::probe_output_path("--trace-out", trace_path);
+    cli::probe_output_path("--metrics-out", metrics_path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -184,25 +160,13 @@ int main(int argc, char** argv) {
                "runtime ==\n";
   t.print(std::cout);
 
-  if (!grid.save_csv(csv_path)) {
-    std::cerr << "error: cannot write '" << csv_path << "'\n";
+  if (!cli::save_outputs(
+          {{csv_path, [&](std::ostream& o) { grid.write_csv(o); }},
+           {trace_path, [&](std::ostream& o) { grid.write_chrome_trace(o); }},
+           {metrics_path,
+            [&](std::ostream& o) { grid.aggregate_metrics().write_json(o); }}},
+          std::cout, std::cerr))
     return 2;
-  }
-  std::cout << "[saved " << csv_path << "]\n";
-  if (!trace_path.empty()) {
-    if (!grid.save_chrome_trace(trace_path)) {
-      std::cerr << "error: cannot write '" << trace_path << "'\n";
-      return 2;
-    }
-    std::cout << "[saved " << trace_path << "]\n";
-  }
-  if (!metrics_path.empty()) {
-    if (!grid.save_metrics_json(metrics_path)) {
-      std::cerr << "error: cannot write '" << metrics_path << "'\n";
-      return 2;
-    }
-    std::cout << "[saved " << metrics_path << "]\n";
-  }
   std::cout << grid.cells.size() << " cells, " << jobs << " jobs, wall "
             << TextTable::num(wall_s, 3) << " s\n";
 

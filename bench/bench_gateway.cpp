@@ -16,59 +16,20 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "gateway/study.hpp"
 #include "sim/table.hpp"
 
 namespace hg = hpcs::gateway;
 namespace hc = hpcs::container;
+namespace cli = hpcs::study;
 using hpcs::sim::TextTable;
 
 namespace {
-
-std::vector<std::string> split_list(const std::string& arg) {
-  std::vector<std::string> out;
-  std::stringstream stream(arg);
-  std::string item;
-  while (std::getline(stream, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-std::vector<double> parse_doubles(const std::string& flag,
-                                  const std::string& arg) {
-  std::vector<double> out;
-  for (const std::string& item : split_list(arg)) {
-    try {
-      out.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw std::invalid_argument(flag + ": bad number '" + item + "'");
-    }
-  }
-  if (out.empty()) throw std::invalid_argument(flag + ": empty list");
-  return out;
-}
-
-/// Fails fast on unwritable output paths (same probe-open contract as
-/// study_cli): parent directories are created, then the file is opened
-/// in append mode — better a clean error now than a lost run later.
-void probe_open(const std::string& flag, const std::string& path) {
-  if (path.empty()) return;
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (const fs::path parent = fs::path(path).parent_path(); !parent.empty())
-    fs::create_directories(parent, ec);
-  std::ofstream probe(path, std::ios::app);
-  if (!probe)
-    throw std::invalid_argument(flag + ": cannot open '" + path +
-                                "' for writing");
-}
 
 int usage(std::ostream& out, int code) {
   out << "usage: bench_gateway [options]\n"
@@ -122,10 +83,11 @@ int main(int argc, char** argv) {
       if (flag == "--help" || flag == "-h") {
         return usage(std::cout, 0);
       } else if (flag == "--jobs") {
-        jobs = std::stoi(value());
+        jobs = cli::parse_int(flag, value());
         if (jobs < 1) throw std::invalid_argument("--jobs: must be >= 1");
       } else if (flag == "--csv") {
         csv_path = value();
+        if (csv_path.empty()) throw std::invalid_argument("--csv: empty path");
       } else if (flag == "--trace-out") {
         trace_path = value();
       } else if (flag == "--metrics-out") {
@@ -135,29 +97,29 @@ int main(int argc, char** argv) {
       } else if (flag == "--timeseries-json") {
         timeseries_json_path = value();
       } else if (flag == "--window") {
-        window_s = std::stod(value());
+        window_s = cli::parse_double(flag, value());
         if (window_s <= 0)
           throw std::invalid_argument("--window: must be > 0");
       } else if (flag == "--loads") {
-        spec.loads = parse_doubles(flag, value());
+        spec.loads = cli::parse_double_list(flag, value());
       } else if (flag == "--churns") {
-        spec.churns = parse_doubles(flag, value());
+        spec.churns = cli::parse_double_list(flag, value());
       } else if (flag == "--faults") {
-        spec.faults = split_list(value());
+        spec.faults = cli::split_list(value());
       } else if (flag == "--runtimes") {
         spec.runtimes.clear();
-        for (const std::string& name : split_list(value()))
+        for (const std::string& name : cli::split_list(value()))
           spec.runtimes.push_back(hc::runtime_from_string(name));
       } else if (flag == "--rate") {
-        spec.workload.base_rate_hz = std::stod(value());
+        spec.workload.base_rate_hz = cli::parse_double(flag, value());
       } else if (flag == "--tenants") {
-        spec.workload.tenants = std::stoi(value());
+        spec.workload.tenants = cli::parse_int(flag, value());
       } else if (flag == "--horizon") {
-        spec.workload.horizon_s = std::stod(value());
+        spec.workload.horizon_s = cli::parse_double(flag, value());
       } else if (flag == "--workers") {
-        spec.config.workers = std::stoi(value());
+        spec.config.workers = cli::parse_int(flag, value());
       } else if (flag == "--seed") {
-        spec.seed = std::stoull(value());
+        spec.seed = cli::parse_u64(flag, value());
       } else {
         throw std::invalid_argument("unknown flag '" + flag + "'");
       }
@@ -165,11 +127,11 @@ int main(int argc, char** argv) {
     if (!timeseries_path.empty() || !timeseries_json_path.empty())
       spec.timeseries_window_s = window_s;
     spec.validate();
-    probe_open("--csv", csv_path);
-    probe_open("--trace-out", trace_path);
-    probe_open("--metrics-out", metrics_path);
-    probe_open("--timeseries-out", timeseries_path);
-    probe_open("--timeseries-json", timeseries_json_path);
+    cli::probe_output_path("--csv", csv_path);
+    cli::probe_output_path("--trace-out", trace_path);
+    cli::probe_output_path("--metrics-out", metrics_path);
+    cli::probe_output_path("--timeseries-out", timeseries_path);
+    cli::probe_output_path("--timeseries-json", timeseries_json_path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -210,39 +172,18 @@ int main(int argc, char** argv) {
                "faults ==\n";
   t.print(std::cout);
 
-  if (!grid.save_csv(csv_path)) {
-    std::cerr << "error: cannot write '" << csv_path << "'\n";
+  if (!cli::save_outputs(
+          {{csv_path, [&](std::ostream& o) { grid.write_csv(o); }},
+           {trace_path, [&](std::ostream& o) { grid.write_chrome_trace(o); }},
+           {metrics_path,
+            [&](std::ostream& o) { grid.aggregate_metrics().write_json(o); }},
+           {timeseries_path,
+            [&](std::ostream& o) { grid.write_timeseries_csv(o); }},
+           {timeseries_json_path, [&](std::ostream& o) {
+              grid.aggregate_timeseries().write_json(o);
+            }}},
+          std::cout, std::cerr))
     return 2;
-  }
-  std::cout << "[saved " << csv_path << "]\n";
-  if (!trace_path.empty()) {
-    if (!grid.save_chrome_trace(trace_path)) {
-      std::cerr << "error: cannot write '" << trace_path << "'\n";
-      return 2;
-    }
-    std::cout << "[saved " << trace_path << "]\n";
-  }
-  if (!metrics_path.empty()) {
-    if (!grid.save_metrics_json(metrics_path)) {
-      std::cerr << "error: cannot write '" << metrics_path << "'\n";
-      return 2;
-    }
-    std::cout << "[saved " << metrics_path << "]\n";
-  }
-  if (!timeseries_path.empty()) {
-    if (!grid.save_timeseries_csv(timeseries_path)) {
-      std::cerr << "error: cannot write '" << timeseries_path << "'\n";
-      return 2;
-    }
-    std::cout << "[saved " << timeseries_path << "]\n";
-  }
-  if (!timeseries_json_path.empty()) {
-    if (!grid.save_timeseries_json(timeseries_json_path)) {
-      std::cerr << "error: cannot write '" << timeseries_json_path << "'\n";
-      return 2;
-    }
-    std::cout << "[saved " << timeseries_json_path << "]\n";
-  }
   std::cout << grid.cells.size() << " cells, " << jobs << " jobs, wall "
             << TextTable::num(wall_s, 3) << " s\n";
   return 0;

@@ -10,12 +10,11 @@
 #include <utility>
 
 #include "container/transport.hpp"
+#include "core/grid.hpp"
 #include "core/images.hpp"
-#include "core/thread_pool.hpp"
 #include "fault/resilience.hpp"
 #include "obs/export.hpp"
 #include "sim/csv.hpp"
-#include "sim/rng.hpp"
 #include "sim/table.hpp"
 
 namespace hpcs::study {
@@ -53,14 +52,6 @@ std::array<std::size_t, 7> effective_axes(const CampaignSpec& spec) {
           effective_geometries(spec).size(),
           effective_faults(spec).size(),
           static_cast<std::size_t>(spec.repetitions)};
-}
-
-/// Cell seed: derived from the campaign seed and the cell *name* only, so
-/// it is independent of thread count, completion order, and the presence
-/// of other axis values.
-std::uint64_t cell_seed(std::uint64_t base_seed, const std::string& key) {
-  std::uint64_t state = base_seed ^ sim::hash64(key);
-  return sim::splitmix64(state);
 }
 
 // JSON string escaping is shared with the trace writers so every artifact
@@ -332,11 +323,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   // Per-cell host seconds land in host_metrics (never in figure
   // artifacts), indexed by cell so the histogram folds in cell order.
   std::vector<double> cell_host_s(cells.size(), 0.0);
-  TaskPool::Stats pool_stats;
-  {
-    TaskPool pool(res.jobs);
-    for (CampaignCell& cell : cells)
-      pool.submit([&cell, &cache, &spec, &cell_host_s, this] {
+  const TaskPool::Stats pool_stats =
+      run_cells(cells.size(), res.jobs, [&](std::size_t i) {
+        CampaignCell& cell = cells[i];
         // Each cell carries its own fault spec, so the runner is built per
         // cell; fault-category failures get bounded re-executions with a
         // fresh key-derived seed (jobs-invariant, like everything else).
@@ -373,12 +362,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
         }
         // hpcs-lint: allow(DET-001) per-cell host time is diagnostic-only
         const auto cell_t1 = std::chrono::steady_clock::now();
-        cell_host_s[cell.index] =
+        cell_host_s[i] =
             std::chrono::duration<double>(cell_t1 - cell_t0).count();
       });
-    pool.wait_idle();
-    pool_stats = pool.stats();
-  }
   // hpcs-lint: allow(DET-001) wall_time_s is a host-side diagnostic
   const auto t1 = std::chrono::steady_clock::now();
   res.wall_time_s = std::chrono::duration<double>(t1 - t0).count();

@@ -12,8 +12,6 @@
 
 namespace hpcs::study {
 
-namespace {
-
 int parse_int(const std::string& flag, const std::string& value) {
   int out = 0;
   const auto [ptr, ec] =
@@ -55,6 +53,18 @@ std::vector<std::string> split_list(const std::string& value) {
   }
   return out;
 }
+
+std::vector<double> parse_double_list(const std::string& flag,
+                                      const std::string& value) {
+  std::vector<double> out;
+  for (const auto& item : split_list(value))
+    out.push_back(parse_double(flag, item));
+  if (out.empty())
+    throw std::invalid_argument(flag + ": empty list: '" + value + "'");
+  return out;
+}
+
+namespace {
 
 std::vector<int> parse_int_list(const std::string& flag,
                                 const std::string& value) {
@@ -259,6 +269,27 @@ void probe_output_path(const std::string& flag, const std::string& path) {
                                   "' for writing");
   }
   if (!existed) fs::remove(target, ec);
+}
+
+bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
+                  std::ostream& err) {
+  for (const OutputFile& output : outputs) {
+    if (output.path.empty()) continue;
+    bool ok = false;
+    {
+      std::ofstream out(output.path);
+      if (out) {
+        output.write(out);
+        ok = out.good();
+      }
+    }
+    if (!ok) {
+      err << "error: cannot write '" << output.path << "'\n";
+      return false;
+    }
+    log << "[saved " << output.path << "]\n";
+  }
+  return true;
 }
 
 void validate_output_paths(const CliOptions& o) {

@@ -28,6 +28,9 @@
 /// sets the checkpoint cadence, and --cell-retries bounds re-executions of
 /// fault-failed campaign cells.
 
+#include <cstdint>
+#include <functional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,6 +76,22 @@ struct CliOptions {
   double window_s = 60.0;  ///< --window; window width in simulated seconds
 };
 
+/// Flag-value parsers shared by study_cli and the bench programs.  Each
+/// accepts only the whole string as a number.
+/// \throws std::invalid_argument naming \p flag on malformed input.
+int parse_int(const std::string& flag, const std::string& value);
+std::uint64_t parse_u64(const std::string& flag, const std::string& value);
+double parse_double(const std::string& flag, const std::string& value);
+
+/// Splits a comma-separated list, dropping empty items.
+std::vector<std::string> split_list(const std::string& value);
+
+/// A comma-separated list of numbers.
+/// \throws std::invalid_argument naming \p flag for a malformed item or
+///         an empty list.
+std::vector<double> parse_double_list(const std::string& flag,
+                                      const std::string& value);
+
 /// Parses argv-style arguments (excluding argv[0]).
 /// \throws std::invalid_argument with a helpful message on bad input.
 CliOptions parse_cli(std::span<const char* const> args);
@@ -105,6 +124,18 @@ RunnerOptions to_runner_options(const CliOptions& options);
 /// mode and writes nothing).
 /// \throws std::invalid_argument naming \p flag when unwritable.
 void probe_output_path(const std::string& flag, const std::string& path);
+
+/// One artifact a program writes once its run finished.
+struct OutputFile {
+  std::string path;  ///< empty: not requested, skipped
+  std::function<void(std::ostream&)> write;
+};
+
+/// Writes every requested output in order, reporting "[saved PATH]" to
+/// \p log.  Stops at the first file that cannot be written, reports
+/// "error: cannot write 'PATH'" to \p err and returns false.
+bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
+                  std::ostream& err);
 
 /// Probes every output path the run will write: --trace-out and
 /// --metrics-out always, --csv/--json in campaign mode (single runs

@@ -1,41 +1,13 @@
 #include "gateway/chaos.hpp"
 
-#include <cmath>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 
-#include "core/thread_pool.hpp"
 #include "fault/spec.hpp"
-#include "obs/export.hpp"
 #include "sim/csv.hpp"
 #include "sim/rng.hpp"
 
 namespace hpcs::gateway {
-
-namespace {
-
-/// Cell seed: the campaign convention — derived from the grid seed and
-/// the cell *name* only, independent of worker count and grid order.
-std::uint64_t cell_seed(std::uint64_t base_seed, const std::string& key) {
-  std::uint64_t state = base_seed ^ sim::hash64(key);
-  return sim::splitmix64(state);
-}
-
-/// Catalog size that puts ~churn x shared-cache bytes in play, given the
-/// workload's log-uniform image-size distribution (geometric mean).
-int chaos_catalog_images(const ChaosGridSpec& spec) {
-  const double mean_bytes =
-      std::exp(0.5 *
-               (std::log(static_cast<double>(spec.workload.image_bytes_min)) +
-                std::log(static_cast<double>(spec.workload.image_bytes_max))));
-  const double images =
-      spec.churn * static_cast<double>(spec.config.shared_cache_bytes) /
-      mean_bytes;
-  return std::max(2, static_cast<int>(std::llround(images)));
-}
-
-}  // namespace
 
 MitigationSpec MitigationSpec::preset(const std::string& name) {
   MitigationSpec m;
@@ -132,14 +104,15 @@ ChaosCellResult run_chaos_cell(const ChaosGridSpec& spec,
   MitigationSpec::preset(mitigation).apply(config);
   WorkloadSpec workload = spec.workload;
   workload.load = spec.load;
-  workload.catalog_images = chaos_catalog_images(spec);
+  workload.catalog_images = churn_catalog_images(
+      workload, spec.config.shared_cache_bytes, spec.churn);
 
   // Common random numbers: the seed deliberately excludes the mitigation
   // name, so every bundle faces the *same* arrival stream, catalog, fault
   // draws, and hazard schedule for a given (hazard, runtime) — scorecard
   // rows differ only by what the defenses did about the storm, and the
   // headline comparison is paired rather than cross-seed noise.
-  const std::uint64_t seed = cell_seed(
+  const std::uint64_t seed = study::cell_seed(
       spec.seed,
       hazard + "/" + std::string(container::to_string(runtime)));
   const sim::Rng root{seed};
@@ -167,8 +140,6 @@ ChaosCellResult run_chaos_cell(const ChaosGridSpec& spec,
 ChaosGridResult run_chaos_grid(const ChaosGridSpec& spec, int jobs,
                                bool observe) {
   spec.validate();
-  if (jobs < 1)
-    throw std::invalid_argument("run_chaos_grid: jobs must be >= 1");
 
   struct CellParams {
     std::string hazard, mitigation;
@@ -180,30 +151,11 @@ ChaosGridResult run_chaos_grid(const ChaosGridSpec& spec, int jobs,
       for (const container::RuntimeKind rt : spec.runtimes)
         params.push_back(CellParams{h, m, rt});
 
-  ChaosGridResult grid;
-  grid.name = spec.name;
-  grid.jobs = jobs;
-  grid.cells.resize(params.size());
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const CellParams& p = params[i];
-      grid.cells[i] =
-          run_chaos_cell(spec, p.hazard, p.mitigation, p.runtime, observe);
-    }
-  } else {
-    study::TaskPool pool(jobs);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      pool.submit([&spec, &params, &grid, i, observe] {
-        const CellParams& p = params[i];
-        // Disjoint slots: cell i writes only grid.cells[i], so results
-        // are identical for any worker count.
-        grid.cells[i] =
-            run_chaos_cell(spec, p.hazard, p.mitigation, p.runtime, observe);
+  return study::run_grid<ChaosGridResult>(
+      spec.name, params, jobs, [&](const CellParams& p) {
+        return run_chaos_cell(spec, p.hazard, p.mitigation, p.runtime,
+                              observe);
       });
-    }
-    pool.wait_idle();
-  }
-  return grid;
 }
 
 void ChaosGridResult::write_csv(std::ostream& out) const {
@@ -248,46 +200,11 @@ void ChaosGridResult::write_csv(std::ostream& out) const {
                  static_cast<std::size_t>(s.upstream_retries)),
              sim::CsvWriter::cell(
                  static_cast<std::size_t>(s.worker_crashes)),
-             sim::CsvWriter::cell(
-                 s.queue_wait.empty() ? 0.0 : s.queue_wait.quantile(0.5)),
+             study::quantile_cell(s.queue_wait, 0.5),
              sim::CsvWriter::cell(cell.start_quantile(0.5)),
              sim::CsvWriter::cell(cell.start_quantile(0.95)),
              sim::CsvWriter::cell(cell.start_quantile(0.99))});
   }
-}
-
-bool ChaosGridResult::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_csv(out);
-  return out.good();
-}
-
-void ChaosGridResult::write_chrome_trace(std::ostream& out) const {
-  obs::ChromeTraceWriter writer(out);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int pid = static_cast<int>(i);
-    writer.process_name(pid, cells[i].key);
-    if (!cells[i].trace.empty()) writer.add(cells[i].trace, pid);
-  }
-  writer.finish();
-}
-
-bool ChaosGridResult::save_chrome_trace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out);
-  return out.good();
-}
-
-obs::Metrics ChaosGridResult::aggregate_metrics() const {
-  obs::Metrics total;
-  for (const ChaosCellResult& cell : cells) total.merge(cell.metrics);
-  return total;
-}
-
-bool ChaosGridResult::save_metrics_json(const std::string& path) const {
-  return aggregate_metrics().save_json(path);
 }
 
 ChaosHeadline check_chaos_headline(const ChaosGridResult& grid) {

@@ -2,13 +2,13 @@
 
 /// \file chaos.hpp
 /// \brief The resilience scorecard: hazard preset x mitigation config x
-///        runtime, fanned out over the campaign TaskPool.
+///        runtime, run through the keyed-grid runner (core/grid.hpp).
 ///
 /// Every cell runs the same open-loop workload through GatewayService
 /// under one correlated-hazard preset (`fault::HazardSpec`) and one
-/// mitigation bundle (`MitigationSpec`), under its own name-derived seed
-/// so the grid is embarrassingly parallel and its CSV/trace/metrics
-/// artifacts are byte-identical for any `--jobs` count.  The headline row
+/// mitigation bundle (`MitigationSpec`), under a key-derived seed, so
+/// its CSV/trace/metrics artifacts are byte-identical for any `--jobs`
+/// count.  The headline row
 /// is hedging+breaker beating retry-only on p99 job-start latency under
 /// the brownout preset at completion rate >= baseline —
 /// `check_chaos_headline` turns that claim into a CI gate.
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "container/runtime.hpp"
+#include "core/grid.hpp"
 #include "fault/hazard.hpp"
 #include "gateway/config.hpp"
 #include "gateway/service.hpp"
@@ -86,22 +87,9 @@ struct ChaosCellResult {
   double start_quantile(double q) const;
 };
 
-struct ChaosGridResult {
-  std::string name;
-  int jobs = 1;
-  std::vector<ChaosCellResult> cells;
-
+struct ChaosGridResult : study::Grid<ChaosCellResult> {
   /// Deterministic scorecard CSV, cells in grid order.
   void write_csv(std::ostream& out) const;
-  bool save_csv(const std::string& path) const;
-
-  /// Chrome trace with one pid per cell, in grid order.
-  void write_chrome_trace(std::ostream& out) const;
-  bool save_chrome_trace(const std::string& path) const;
-
-  /// Per-cell metric registries folded in grid order.
-  obs::Metrics aggregate_metrics() const;
-  bool save_metrics_json(const std::string& path) const;
 };
 
 /// Headline verdict: for every runtime under the brownout preset,
@@ -124,7 +112,7 @@ ChaosCellResult run_chaos_cell(const ChaosGridSpec& spec,
                                const std::string& mitigation,
                                container::RuntimeKind runtime, bool observe);
 
-/// Runs the whole grid on \p jobs TaskPool workers.
+/// Runs the whole grid on \p jobs workers.
 ChaosGridResult run_chaos_grid(const ChaosGridSpec& spec, int jobs,
                                bool observe = false);
 

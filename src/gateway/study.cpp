@@ -1,33 +1,15 @@
 #include "gateway/study.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 
-#include "core/thread_pool.hpp"
 #include "fault/spec.hpp"
-#include "obs/export.hpp"
 #include "obs/slo.hpp"
 #include "sim/csv.hpp"
 #include "sim/rng.hpp"
 
 namespace hpcs::gateway {
-
-namespace {
-
-/// Cell seed: the campaign convention — derived from the grid seed and
-/// the cell *name* only, independent of worker count and grid order.
-std::uint64_t cell_seed(std::uint64_t base_seed, const std::string& key) {
-  std::uint64_t state = base_seed ^ sim::hash64(key);
-  return sim::splitmix64(state);
-}
-
-std::string quantile_cell(const sim::Samples& samples, double q) {
-  return sim::CsvWriter::cell(samples.empty() ? 0.0 : samples.quantile(q));
-}
-
-}  // namespace
 
 void GatewayGridSpec::validate() const {
   if (loads.empty() || churns.empty() || faults.empty() || runtimes.empty())
@@ -54,18 +36,6 @@ std::string gateway_cell_key(double load, double churn,
          std::string(container::to_string(runtime));
 }
 
-int churn_catalog_images(const GatewayGridSpec& spec, double churn) {
-  // Geometric mean of the log-uniform size distribution.
-  const double mean_bytes =
-      std::exp(0.5 *
-               (std::log(static_cast<double>(spec.workload.image_bytes_min)) +
-                std::log(static_cast<double>(spec.workload.image_bytes_max))));
-  const double images =
-      churn * static_cast<double>(spec.config.shared_cache_bytes) /
-      mean_bytes;
-  return std::max(2, static_cast<int>(std::llround(images)));
-}
-
 GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
                                    double churn, const std::string& faults,
                                    container::RuntimeKind runtime,
@@ -79,9 +49,10 @@ GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
 
   WorkloadSpec workload = spec.workload;
   workload.load = load;
-  workload.catalog_images = churn_catalog_images(spec, churn);
+  workload.catalog_images =
+      churn_catalog_images(workload, spec.config.shared_cache_bytes, churn);
 
-  const std::uint64_t seed = cell_seed(spec.seed, cell.key);
+  const std::uint64_t seed = study::cell_seed(spec.seed, cell.key);
   const sim::Rng root{seed};
   const ImageCatalog catalog(workload, root);
   ArrivalProcess arrivals(workload, root);
@@ -118,8 +89,6 @@ GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
 GatewayGridResult run_gateway_grid(const GatewayGridSpec& spec, int jobs,
                                    bool observe) {
   spec.validate();
-  if (jobs < 1)
-    throw std::invalid_argument("run_gateway_grid: jobs must be >= 1");
 
   struct CellParams {
     double load, churn;
@@ -133,32 +102,11 @@ GatewayGridResult run_gateway_grid(const GatewayGridSpec& spec, int jobs,
         for (const container::RuntimeKind rt : spec.runtimes)
           params.push_back(CellParams{load, churn, f, rt});
 
-  GatewayGridResult grid;
-  grid.name = spec.name;
-  grid.jobs = jobs;
-  grid.cells.resize(params.size());
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const CellParams& p = params[i];
-      grid.cells[i] =
-          run_gateway_cell(spec, p.load, p.churn, p.faults, p.runtime,
-                           observe);
-    }
-  } else {
-    study::TaskPool pool(jobs);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      pool.submit([&spec, &params, &grid, i, observe] {
-        const CellParams& p = params[i];
-        // Disjoint slots: cell i writes only grid.cells[i], so results
-        // are identical for any worker count.
-        grid.cells[i] =
-            run_gateway_cell(spec, p.load, p.churn, p.faults, p.runtime,
-                             observe);
+  return study::run_grid<GatewayGridResult>(
+      spec.name, params, jobs, [&](const CellParams& p) {
+        return run_gateway_cell(spec, p.load, p.churn, p.faults, p.runtime,
+                                observe);
       });
-    }
-    pool.wait_idle();
-  }
-  return grid;
 }
 
 void GatewayGridResult::write_csv(std::ostream& out) const {
@@ -209,73 +157,15 @@ void GatewayGridResult::write_csv(std::ostream& out) const {
              sim::CsvWriter::cell(
                  static_cast<std::size_t>(s.worker_crashes)),
              sim::CsvWriter::cell(s.max_queue_depth),
-             quantile_cell(s.queue_wait, 0.5),
-             quantile_cell(s.start_latency, 0.5),
-             quantile_cell(s.start_latency, 0.95),
-             quantile_cell(s.start_latency, 0.99),
+             study::quantile_cell(s.queue_wait, 0.5),
+             study::quantile_cell(s.start_latency, 0.5),
+             study::quantile_cell(s.start_latency, 0.95),
+             study::quantile_cell(s.start_latency, 0.99),
              sim::CsvWriter::cell(
                  s.start_latency.empty() ? 0.0 : s.start_latency.mean()),
              sim::CsvWriter::cell(
                  s.start_latency.empty() ? 0.0 : s.start_latency.max())});
   }
-}
-
-bool GatewayGridResult::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_csv(out);
-  return out.good();
-}
-
-void GatewayGridResult::write_chrome_trace(std::ostream& out) const {
-  obs::ChromeTraceWriter writer(out);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int pid = static_cast<int>(i);
-    writer.process_name(pid, cells[i].key);
-    if (!cells[i].trace.empty()) writer.add(cells[i].trace, pid);
-  }
-  writer.finish();
-}
-
-bool GatewayGridResult::save_chrome_trace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out);
-  return out.good();
-}
-
-obs::Metrics GatewayGridResult::aggregate_metrics() const {
-  obs::Metrics total;
-  for (const GatewayCellResult& cell : cells) total.merge(cell.metrics);
-  return total;
-}
-
-bool GatewayGridResult::save_metrics_json(const std::string& path) const {
-  return aggregate_metrics().save_json(path);
-}
-
-obs::TimeSeries GatewayGridResult::aggregate_timeseries() const {
-  obs::TimeSeries total;
-  for (const GatewayCellResult& cell : cells) total.merge(cell.timeseries);
-  return total;
-}
-
-void GatewayGridResult::write_timeseries_csv(std::ostream& out) const {
-  sim::CsvWriter csv(out, obs::TimeSeries::csv_header());
-  for (const GatewayCellResult& cell : cells)
-    cell.timeseries.write_csv_rows(csv, cell.key);
-  aggregate_timeseries().write_csv_rows(csv, "(aggregate)");
-}
-
-bool GatewayGridResult::save_timeseries_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_timeseries_csv(out);
-  return out.good();
-}
-
-bool GatewayGridResult::save_timeseries_json(const std::string& path) const {
-  return aggregate_timeseries().save_json(path);
 }
 
 }  // namespace hpcs::gateway

@@ -2,14 +2,13 @@
 
 /// \file study.hpp
 /// \brief The gateway benchmark grid: offered load x cache churn x fault
-///        preset x runtime, fanned out over the campaign TaskPool.
+///        preset x runtime, run through the keyed-grid runner
+///        (core/grid.hpp).
 ///
-/// Each cell simulates one GatewayService run under its own name-derived
-/// seed (the campaign convention: seed depends on the cell *key*, never
-/// on execution order), so the grid is embarrassingly parallel and its
-/// CSV/trace/metrics artifacts are byte-identical for any `--jobs` count.
-/// The headline artifact is the tail-latency table: p50/p95/p99 of the
-/// "job can start" latency per cell.
+/// Each cell simulates one GatewayService run under the seed derived
+/// from its key, so the CSV/trace/metrics artifacts are byte-identical
+/// for any `--jobs` count.  The headline artifact is the tail-latency
+/// table: p50/p95/p99 of the "job can start" latency per cell.
 
 #include <cstdint>
 #include <ostream>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "container/runtime.hpp"
+#include "core/grid.hpp"
 #include "gateway/config.hpp"
 #include "gateway/service.hpp"
 #include "gateway/workload.hpp"
@@ -61,32 +61,9 @@ struct GatewayCellResult {
   obs::TimeSeries timeseries;  ///< empty unless timeseries_window_s > 0
 };
 
-struct GatewayGridResult {
-  std::string name;
-  int jobs = 1;
-  std::vector<GatewayCellResult> cells;
-
+struct GatewayGridResult : study::Grid<GatewayCellResult> {
   /// Deterministic tail-latency CSV, cells in grid order.
   void write_csv(std::ostream& out) const;
-  bool save_csv(const std::string& path) const;
-
-  /// Chrome trace with one pid per cell, in grid order.
-  void write_chrome_trace(std::ostream& out) const;
-  bool save_chrome_trace(const std::string& path) const;
-
-  /// Per-cell metric registries folded in grid order.
-  obs::Metrics aggregate_metrics() const;
-  bool save_metrics_json(const std::string& path) const;
-
-  /// Per-cell windowed stores folded in grid order (empty when telemetry
-  /// was off) — the associative merge keeps the result `--jobs`-invariant.
-  obs::TimeSeries aggregate_timeseries() const;
-  /// Time-series CSV: one scope per cell in grid order plus a final
-  /// "(aggregate)" scope.  Deterministic bytes.
-  void write_timeseries_csv(std::ostream& out) const;
-  bool save_timeseries_csv(const std::string& path) const;
-  /// Aggregate store as "hpcs-timeseries-v1" JSON (hpcs-report input).
-  bool save_timeseries_json(const std::string& path) const;
 };
 
 /// The cell key ("load-2/churn-8/moderate/Docker") — also the seed name.
@@ -94,17 +71,13 @@ std::string gateway_cell_key(double load, double churn,
                              const std::string& faults,
                              container::RuntimeKind runtime);
 
-/// Catalog size that puts ~\p churn x shared-cache bytes in play, given
-/// the spec's image-size distribution.
-int churn_catalog_images(const GatewayGridSpec& spec, double churn);
-
 /// Runs one cell (exposed for tests; bench cells go through the grid).
 GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
                                    double churn, const std::string& faults,
                                    container::RuntimeKind runtime,
                                    bool observe);
 
-/// Runs the whole grid on \p jobs TaskPool workers.
+/// Runs the whole grid on \p jobs workers.
 GatewayGridResult run_gateway_grid(const GatewayGridSpec& spec, int jobs,
                                    bool observe = false);
 

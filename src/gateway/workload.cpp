@@ -30,6 +30,15 @@ void WorkloadSpec::validate() const {
     throw std::invalid_argument("WorkloadSpec: horizon must be > 0");
 }
 
+int churn_catalog_images(const WorkloadSpec& spec, std::uint64_t cache_bytes,
+                         double churn) {
+  const double mean_bytes =
+      std::exp(0.5 * (std::log(static_cast<double>(spec.image_bytes_min)) +
+                      std::log(static_cast<double>(spec.image_bytes_max))));
+  const double images = churn * static_cast<double>(cache_bytes) / mean_bytes;
+  return std::max(2, static_cast<int>(std::llround(images)));
+}
+
 ImageCatalog::ImageCatalog(const WorkloadSpec& spec, const sim::Rng& root) {
   spec.validate();
   sim::Rng stream = root.child("catalog");

@@ -39,6 +39,11 @@ struct WorkloadSpec {
   void validate() const;
 };
 
+/// Catalog size that puts ~\p churn x \p cache_bytes in play, given the
+/// spec's log-uniform image sizes (geometric mean); never below 2.
+int churn_catalog_images(const WorkloadSpec& spec, std::uint64_t cache_bytes,
+                         double churn);
+
 /// One tenant pull request.
 struct PullRequest {
   double time = 0.0;

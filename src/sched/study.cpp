@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "core/thread_pool.hpp"
 #include "fault/hazard.hpp"
 #include "fault/schedule.hpp"
 #include "fault/spec.hpp"
 #include "gateway/workload.hpp"
-#include "obs/export.hpp"
 #include "obs/slo.hpp"
 #include "sim/csv.hpp"
 #include "sim/rng.hpp"
@@ -20,17 +17,6 @@
 namespace hpcs::sched {
 
 namespace {
-
-/// Cell seed: the campaign convention — derived from the grid seed and
-/// the cell *name* only, independent of worker count and grid order.
-std::uint64_t cell_seed(std::uint64_t base_seed, const std::string& key) {
-  std::uint64_t state = base_seed ^ sim::hash64(key);
-  return sim::splitmix64(state);
-}
-
-std::string quantile_cell(const sim::Samples& samples, double q) {
-  return sim::CsvWriter::cell(samples.empty() ? 0.0 : samples.quantile(q));
-}
 
 /// Sound horizon bound for hazard schedules: every job terminates within
 /// (max_requeues + 1) walltime-bounded attempts plus requeue delays.
@@ -92,7 +78,7 @@ SchedCellResult run_sched_cell(const SchedGridSpec& spec,
   config.policy = SchedPolicy::preset(policy);
   config.gateway_enabled = spec.gateway_enabled;
 
-  const std::uint64_t seed = cell_seed(spec.seed, cell.key);
+  const std::uint64_t seed = study::cell_seed(spec.seed, cell.key);
   const sim::Rng root{seed};
   const gateway::ImageCatalog catalog(workload.catalog_spec(), root);
   std::vector<JobSpec> jobs = generate_jobs(workload, root);
@@ -133,8 +119,6 @@ SchedCellResult run_sched_cell(const SchedGridSpec& spec,
 SchedGridResult run_sched_grid(const SchedGridSpec& spec, int jobs,
                                bool observe) {
   spec.validate();
-  if (jobs < 1)
-    throw std::invalid_argument("run_sched_grid: jobs must be >= 1");
 
   struct CellParams {
     std::string policy;
@@ -147,29 +131,10 @@ SchedGridResult run_sched_grid(const SchedGridSpec& spec, int jobs,
       for (const double load : spec.loads)
         params.push_back(CellParams{policy, mix, load});
 
-  SchedGridResult grid;
-  grid.name = spec.name;
-  grid.jobs = jobs;
-  grid.cells.resize(params.size());
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const CellParams& p = params[i];
-      grid.cells[i] = run_sched_cell(spec, p.policy, p.mix, p.load, observe);
-    }
-  } else {
-    study::TaskPool pool(jobs);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      pool.submit([&spec, &params, &grid, i, observe] {
-        const CellParams& p = params[i];
-        // Disjoint slots: cell i writes only grid.cells[i], so results
-        // are identical for any worker count.
-        grid.cells[i] =
-            run_sched_cell(spec, p.policy, p.mix, p.load, observe);
+  return study::run_grid<SchedGridResult>(
+      spec.name, params, jobs, [&](const CellParams& p) {
+        return run_sched_cell(spec, p.policy, p.mix, p.load, observe);
       });
-    }
-    pool.wait_idle();
-  }
-  return grid;
 }
 
 void SchedGridResult::write_csv(std::ostream& out) const {
@@ -226,74 +191,16 @@ void SchedGridResult::write_csv(std::ostream& out) const {
              static_cast<std::size_t>(s.deploy.cache.shared_hits)),
          sim::CsvWriter::cell(
              static_cast<std::size_t>(s.deploy.cache.misses)),
-         quantile_cell(s.queue_wait_s, 0.5),
-         quantile_cell(s.deploy_s, 0.5),
-         quantile_cell(s.start_latency_s, 0.5),
-         quantile_cell(s.start_latency_s, 0.95),
-         quantile_cell(s.start_latency_s, 0.99),
+         study::quantile_cell(s.queue_wait_s, 0.5),
+         study::quantile_cell(s.deploy_s, 0.5),
+         study::quantile_cell(s.start_latency_s, 0.5),
+         study::quantile_cell(s.start_latency_s, 0.95),
+         study::quantile_cell(s.start_latency_s, 0.99),
          sim::CsvWriter::cell(
              s.start_latency_s.empty() ? 0.0 : s.start_latency_s.mean()),
          sim::CsvWriter::cell(
              s.start_latency_s.empty() ? 0.0 : s.start_latency_s.max())});
   }
-}
-
-bool SchedGridResult::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_csv(out);
-  return out.good();
-}
-
-void SchedGridResult::write_chrome_trace(std::ostream& out) const {
-  obs::ChromeTraceWriter writer(out);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int pid = static_cast<int>(i);
-    writer.process_name(pid, cells[i].key);
-    if (!cells[i].trace.empty()) writer.add(cells[i].trace, pid);
-  }
-  writer.finish();
-}
-
-bool SchedGridResult::save_chrome_trace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out);
-  return out.good();
-}
-
-obs::Metrics SchedGridResult::aggregate_metrics() const {
-  obs::Metrics total;
-  for (const SchedCellResult& cell : cells) total.merge(cell.metrics);
-  return total;
-}
-
-bool SchedGridResult::save_metrics_json(const std::string& path) const {
-  return aggregate_metrics().save_json(path);
-}
-
-obs::TimeSeries SchedGridResult::aggregate_timeseries() const {
-  obs::TimeSeries total;
-  for (const SchedCellResult& cell : cells) total.merge(cell.timeseries);
-  return total;
-}
-
-void SchedGridResult::write_timeseries_csv(std::ostream& out) const {
-  sim::CsvWriter csv(out, obs::TimeSeries::csv_header());
-  for (const SchedCellResult& cell : cells)
-    cell.timeseries.write_csv_rows(csv, cell.key);
-  aggregate_timeseries().write_csv_rows(csv, "(aggregate)");
-}
-
-bool SchedGridResult::save_timeseries_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_timeseries_csv(out);
-  return out.good();
-}
-
-bool SchedGridResult::save_timeseries_json(const std::string& path) const {
-  return aggregate_timeseries().save_json(path);
 }
 
 }  // namespace hpcs::sched

@@ -2,22 +2,21 @@
 
 /// \file study.hpp
 /// \brief The scheduler benchmark grid: scheduling policy x runtime mix x
-///        offered load, fanned out over the campaign TaskPool.
+///        offered load, run through the keyed-grid runner (core/grid.hpp).
 ///
-/// Each cell simulates one full BatchScheduler run under its own
-/// name-derived seed (the campaign convention: seed depends on the cell
-/// *key*, never on execution order), so the grid is embarrassingly
-/// parallel and its CSV/trace/metrics artifacts are byte-identical for
-/// any `--jobs` count.  The headline artifact is the utilization +
-/// job-start tail-latency table: p50/p95/p99 of submit -> compute start
-/// per cell — the facility-scale version of the paper's runtime
-/// comparison.
+/// Each cell simulates one full BatchScheduler run under the seed
+/// derived from its key, so the CSV/trace/metrics artifacts are
+/// byte-identical for any `--jobs` count.  The headline artifact is the
+/// utilization + job-start tail-latency table: p50/p95/p99 of submit ->
+/// compute start per cell — the facility-scale version of the paper's
+/// runtime comparison.
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "core/grid.hpp"
 #include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
@@ -63,32 +62,9 @@ struct SchedCellResult {
   obs::TimeSeries timeseries;  ///< empty unless timeseries_window_s > 0
 };
 
-struct SchedGridResult {
-  std::string name;
-  int jobs = 1;
-  std::vector<SchedCellResult> cells;
-
+struct SchedGridResult : study::Grid<SchedCellResult> {
   /// Deterministic utilization + tail-latency CSV, cells in grid order.
   void write_csv(std::ostream& out) const;
-  bool save_csv(const std::string& path) const;
-
-  /// Chrome trace with one pid per cell, in grid order.
-  void write_chrome_trace(std::ostream& out) const;
-  bool save_chrome_trace(const std::string& path) const;
-
-  /// Per-cell metric registries folded in grid order.
-  obs::Metrics aggregate_metrics() const;
-  bool save_metrics_json(const std::string& path) const;
-
-  /// Per-cell windowed stores folded in grid order (empty when telemetry
-  /// was off) — the associative merge keeps the result `--jobs`-invariant.
-  obs::TimeSeries aggregate_timeseries() const;
-  /// Time-series CSV: one scope per cell in grid order plus a final
-  /// "(aggregate)" scope.  Deterministic bytes.
-  void write_timeseries_csv(std::ostream& out) const;
-  bool save_timeseries_csv(const std::string& path) const;
-  /// Aggregate store as "hpcs-timeseries-v1" JSON (hpcs-report input).
-  bool save_timeseries_json(const std::string& path) const;
 };
 
 /// The cell key ("backfill-dedicated/mixed/load-2/none/none") — also the
@@ -103,7 +79,7 @@ SchedCellResult run_sched_cell(const SchedGridSpec& spec,
                                const std::string& mix, double load,
                                bool observe);
 
-/// Runs the whole grid on \p jobs TaskPool workers.
+/// Runs the whole grid on \p jobs workers.
 SchedGridResult run_sched_grid(const SchedGridSpec& spec, int jobs,
                                bool observe = false);
 

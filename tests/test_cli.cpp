@@ -198,3 +198,81 @@ TEST(CliProbe, ValidateGatesCampaignOutputsOnCampaignMode) {
   auto m = parse({"--campaign", "--metrics-out", "/dev/null/x/m.json"});
   EXPECT_THROW(hs::validate_output_paths(m), std::invalid_argument);
 }
+
+// --- Shared flag-value parsers (study_cli and the bench programs) -------
+
+TEST(CliParsers, NumbersMustSpanTheWholeValue) {
+  EXPECT_EQ(hs::parse_int("--jobs", "4"), 4);
+  EXPECT_EQ(hs::parse_int("--jobs", "-3"), -3);
+  EXPECT_THROW(hs::parse_int("--jobs", "4x"), std::invalid_argument);
+  EXPECT_THROW(hs::parse_int("--jobs", ""), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(hs::parse_double("--rate", "0.25"), 0.25);
+  EXPECT_THROW(hs::parse_double("--rate", "4x"), std::invalid_argument);
+  EXPECT_THROW(hs::parse_double("--rate", "x"), std::invalid_argument);
+}
+
+TEST(CliParsers, U64RejectsNegativeAndOverflow) {
+  EXPECT_EQ(hs::parse_u64("--seed", "18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_THROW(hs::parse_u64("--seed", "-1"), std::invalid_argument);
+  EXPECT_THROW(hs::parse_u64("--seed", "18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW(hs::parse_u64("--seed", "20abc"), std::invalid_argument);
+}
+
+TEST(CliParsers, ErrorsNameTheFlagAndTheValue) {
+  try {
+    (void)hs::parse_int("--njobs", "20abc");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--njobs"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("20abc"), std::string::npos);
+  }
+}
+
+TEST(CliParsers, ListsDropEmptyItems) {
+  EXPECT_EQ(hs::split_list("1,,x"), (std::vector<std::string>{"1", "x"}));
+  EXPECT_EQ(hs::split_list(",a,"), (std::vector<std::string>{"a"}));
+  EXPECT_TRUE(hs::split_list("").empty());
+  EXPECT_EQ(hs::parse_double_list("--loads", "0.5,,2"),
+            (std::vector<double>{0.5, 2.0}));
+  EXPECT_THROW(hs::parse_double_list("--loads", "1,,x"),
+               std::invalid_argument);
+  EXPECT_THROW(hs::parse_double_list("--loads", ""), std::invalid_argument);
+  EXPECT_THROW(hs::parse_double_list("--loads", ","), std::invalid_argument);
+}
+
+TEST(CliOutputs, SavesRequestedOutputsAndSkipsEmptyPaths) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hpcs_cli_outputs_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path path = dir / "out.csv";
+  int writes = 0;
+  std::ostringstream log, err;
+  EXPECT_TRUE(hs::save_outputs(
+      {{path.string(), [&](std::ostream& out) { out << "a,b\n"; ++writes; }},
+       {"", [&](std::ostream&) { ++writes; }}},
+      log, err));
+  EXPECT_EQ(writes, 1);
+  EXPECT_EQ(log.str(), "[saved " + path.string() + "]\n");
+  EXPECT_EQ(err.str(), "");
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), "a,b\n");
+  in.close();
+  fs::remove_all(dir);
+}
+
+TEST(CliOutputs, StopsAtTheFirstUnwritablePath) {
+  int writes = 0;
+  std::ostringstream log, err;
+  EXPECT_FALSE(hs::save_outputs(
+      {{"/dev/null/x/a.csv", [&](std::ostream&) { ++writes; }},
+       {"/dev/null/x/b.csv", [&](std::ostream&) { ++writes; }}},
+      log, err));
+  EXPECT_EQ(writes, 0);
+  EXPECT_EQ(log.str(), "");
+  EXPECT_EQ(err.str(), "error: cannot write '/dev/null/x/a.csv'\n");
+}

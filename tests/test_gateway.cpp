@@ -295,9 +295,12 @@ TEST(GatewayStudy, CellKeyAndChurnSizing) {
                                  hc::RuntimeKind::Docker),
             "load-2/churn-8/moderate/docker");
   hg::GatewayGridSpec spec;
-  EXPECT_GE(hg::churn_catalog_images(spec, 0.001), 2);
-  EXPECT_GT(hg::churn_catalog_images(spec, 8.0),
-            hg::churn_catalog_images(spec, 0.5));
+  const auto images = [&spec](double churn) {
+    return hg::churn_catalog_images(spec.workload,
+                                    spec.config.shared_cache_bytes, churn);
+  };
+  EXPECT_GE(images(0.001), 2);
+  EXPECT_GT(images(8.0), images(0.5));
   spec.loads.clear();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }

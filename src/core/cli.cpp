@@ -275,15 +275,10 @@ bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
                   std::ostream& err) {
   for (const OutputFile& output : outputs) {
     if (output.path.empty()) continue;
-    bool ok = false;
-    {
-      std::ofstream out(output.path);
-      if (out) {
-        output.write(out);
-        ok = out.good();
-      }
-    }
-    if (!ok) {
+    std::ofstream out(output.path);
+    if (out) output.write(out);
+    out.close();  // a failed open, write or final flush all fail here
+    if (!out) {
       err << "error: cannot write '" << output.path << "'\n";
       return false;
     }

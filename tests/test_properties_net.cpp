@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "net/presets.hpp"
 #include "sim/units.hpp"
@@ -18,6 +19,11 @@ struct FabricCase {
   const char* name;
   hn::Fabric (*make)();
 };
+
+// Without this gtest prints the raw bytes of both pointers, so every test
+// name ("... # GetParam() = ...") would carry address-space-randomised
+// addresses and change from one build to the next.
+void PrintTo(const FabricCase& c, std::ostream* os) { *os << c.name; }
 
 const FabricCase kFabrics[] = {
     {"ethernet_1g", &np::ethernet_1g_tcp},

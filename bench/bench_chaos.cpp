@@ -6,15 +6,16 @@
 // serving, hedged fetches, deadline budgets), reporting completion rate,
 // job-start tail latency, wasted work, and stale-serve fraction.  The
 // headline row — hedging+breaker beating retry-only on p99 under the
-// brownout preset at completion rate >= baseline — is a CI gate via
-// --check.
+// brownout preset at completion rate >= baseline — is a gate via
+// --check (the smoke_bench_chaos ctest).
 //
 //   bench_chaos --jobs 4 --csv chaos.csv --check
 //
 // Cells run under name-derived seeds, so the CSV/trace/metrics artifacts
-// are byte-identical for any --jobs count; the chaos-smoke CI job diffs
-// exactly that.  The only wall-clock use here is the elapsed-time line
-// printed at the end (lint-allowlisted; it never reaches an artifact).
+// are byte-identical for any --jobs count; ChaosGrid.* and the
+// smoke_bench_chaos ctest diff exactly that.  The only wall-clock use
+// here is the elapsed-time line printed at the end (lint-allowlisted; it
+// never reaches an artifact).
 
 #include <chrono>
 #include <cstdint>
@@ -124,9 +125,9 @@ int main(int argc, char** argv) {
       }
     }
     spec.validate();
-    cli::probe_output_path("--csv", csv_path);
-    cli::probe_output_path("--trace-out", trace_path);
-    cli::probe_output_path("--metrics-out", metrics_path);
+    cli::probe_output_paths({{"--csv", csv_path},
+                             {"--trace-out", trace_path},
+                             {"--metrics-out", metrics_path}});
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

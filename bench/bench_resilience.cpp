@@ -15,8 +15,8 @@
 //
 // Registry faults and stragglers ride along at the "heavy" preset rates,
 // so deployments exercise the retry-with-backoff path too.  Everything is
-// seed-deterministic: the totals printed at the end are stable and CI
-// asserts on them.
+// seed-deterministic: the totals printed at the end are stable and the
+// smoke_bench_resilience ctest asserts on them.
 
 #include <iostream>
 
@@ -100,7 +100,7 @@ int main() {
   std::cout << '\n';
   emit(fig, "resilience_overhead.csv");
 
-  // Stable, grep-able totals for the CI smoke job.
+  // Stable, grep-able totals for the smoke_bench_resilience ctest.
   std::cout << "total_crashes=" << total_crashes << "\n";
   std::cout << "total_pull_retries=" << total_pull_retries << "\n";
   return 0;

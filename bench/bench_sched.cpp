@@ -10,8 +10,8 @@
 //
 // Every cell runs under a name-derived seed, so the CSV (utilization +
 // p50/p95/p99 of submit -> compute start per cell) is byte-identical for
-// any --jobs count; the CI sched-smoke job diffs exactly that.  The only
-// wall-clock use here is the elapsed-time line printed at the end
+// any --jobs count (SchedGrid.ArtifactsAreByteIdenticalAcrossJobsCounts).
+// The only wall-clock use here is the elapsed-time line printed at the end
 // (lint-allowlisted; it never reaches an artifact).
 
 #include <chrono>
@@ -131,11 +131,11 @@ int main(int argc, char** argv) {
     if (!timeseries_path.empty() || !timeseries_json_path.empty())
       spec.timeseries_window_s = window_s;
     spec.validate();
-    cli::probe_output_path("--csv", csv_path);
-    cli::probe_output_path("--trace-out", trace_path);
-    cli::probe_output_path("--metrics-out", metrics_path);
-    cli::probe_output_path("--timeseries-out", timeseries_path);
-    cli::probe_output_path("--timeseries-json", timeseries_json_path);
+    cli::probe_output_paths({{"--csv", csv_path},
+                             {"--trace-out", trace_path},
+                             {"--metrics-out", metrics_path},
+                             {"--timeseries-out", timeseries_path},
+                             {"--timeseries-json", timeseries_json_path}});
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

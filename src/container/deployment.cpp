@@ -160,8 +160,11 @@ DeploymentResult DeploymentSimulator::deploy(const ContainerRuntime& runtime,
   const double pull_bw = std::min(downlink, egress_share);
 
   std::vector<double> ready(static_cast<std::size_t>(nodes), 0.0);
-  // Retry chains must outlive their scheduled events (engine.run() below).
-  std::vector<std::shared_ptr<std::function<void(int)>>> chains;
+  // Owns every node's retry chain; the chains and the events they schedule
+  // refer to it by raw pointer, so no chain owns itself.  Declared after
+  // the engine, it is destroyed first, also when a FaultError leaves
+  // events unrun; those events are destroyed without running.
+  std::vector<std::unique_ptr<std::function<void(int)>>> chains;
   for (int n = 0; n < nodes; ++n) {
     auto node_rng = rng.child(static_cast<std::uint64_t>(n));
     const double jitter = node_rng.lognormal_median(1.0, 0.03);
@@ -238,8 +241,8 @@ DeploymentResult DeploymentSimulator::deploy(const ContainerRuntime& runtime,
       // on the node, then the pull queues at the registry.  A failed
       // attempt occupies its stream for the wasted fraction, backs off,
       // and re-enters the queue behind whoever is waiting.
-      auto chain = std::make_shared<std::function<void(int)>>();
-      chains.push_back(chain);
+      chains.push_back(std::make_unique<std::function<void(int)>>());
+      std::function<void(int)>* const chain = chains.back().get();
       *chain = [&engine, &registry_streams, &ready, &result, this, obs,
                 track, idx, pull, inst, failures, wasted,
                 chain](int attempt) {

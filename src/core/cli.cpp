@@ -253,22 +253,39 @@ CampaignSpec to_campaign_spec(const CliOptions& o) {
   return spec;
 }
 
-void probe_output_path(const std::string& flag, const std::string& path) {
-  if (path.empty()) return;
+void probe_output_paths(const std::vector<OutputFlag>& outputs) {
   namespace fs = std::filesystem;
   std::error_code ec;  // directory problems surface via the open below
-  const fs::path target(path);
-  if (const fs::path parent = target.parent_path(); !parent.empty())
-    fs::create_directories(parent, ec);
-  const bool existed = fs::exists(target, ec);
-  {
-    // Append mode: proves writability without truncating existing data.
-    std::ofstream probe(path, std::ios::app);
-    if (!probe)
-      throw std::invalid_argument(flag + ": cannot open '" + path +
-                                  "' for writing");
+  std::vector<fs::path> created;  // in creation order
+  try {
+    for (const OutputFlag& output : outputs) {
+      if (output.path.empty()) continue;
+      const fs::path target(output.path);
+      std::vector<fs::path> missing;  // deepest first
+      for (fs::path dir = target.parent_path(); !dir.empty();
+           dir = dir.parent_path()) {
+        if (fs::status(dir, ec).type() != fs::file_type::not_found) break;
+        missing.push_back(dir);
+      }
+      if (!missing.empty()) fs::create_directories(missing.front(), ec);
+      // Removing one that could not be made is a harmless no-op.
+      created.insert(created.end(), missing.rbegin(), missing.rend());
+      const bool existed = fs::exists(target, ec);
+      {
+        // Append mode: proves writability without truncating existing
+        // data.
+        std::ofstream probe(output.path, std::ios::app);
+        if (!probe)
+          throw std::invalid_argument(output.flag + ": cannot open '" +
+                                      output.path + "' for writing");
+      }
+      if (!existed) fs::remove(target, ec);
+    }
+  } catch (...) {
+    for (auto dir = created.rbegin(); dir != created.rend(); ++dir)
+      fs::remove(*dir, ec);
+    throw;
   }
-  if (!existed) fs::remove(target, ec);
 }
 
 bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
@@ -288,13 +305,14 @@ bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
 }
 
 void validate_output_paths(const CliOptions& o) {
-  probe_output_path("--trace-out", o.trace_path);
-  probe_output_path("--metrics-out", o.metrics_path);
-  probe_output_path("--timeseries-out", o.timeseries_path);
+  std::vector<OutputFlag> outputs = {{"--trace-out", o.trace_path},
+                                     {"--metrics-out", o.metrics_path},
+                                     {"--timeseries-out", o.timeseries_path}};
   if (o.campaign) {
-    probe_output_path("--csv", o.csv_path);
-    probe_output_path("--json", o.json_path);
+    outputs.push_back({"--csv", o.csv_path});
+    outputs.push_back({"--json", o.json_path});
   }
+  probe_output_paths(outputs);
 }
 
 RunnerOptions to_runner_options(const CliOptions& o) {

@@ -117,13 +117,21 @@ CampaignSpec to_campaign_spec(const CliOptions& options);
 ///         --faults list without --campaign.
 RunnerOptions to_runner_options(const CliOptions& options);
 
-/// Probe-opens \p path for writing (creating parent directories first),
-/// so a bad output destination fails at parse time instead of after a
-/// full campaign run.  A file newly created by the probe is removed
-/// again; an existing file is left untouched (the probe opens in append
-/// mode and writes nothing).
-/// \throws std::invalid_argument naming \p flag when unwritable.
-void probe_output_path(const std::string& flag, const std::string& path);
+/// One output destination named on the command line.
+struct OutputFlag {
+  std::string flag;  ///< e.g. "--csv", quoted in the error message
+  std::string path;  ///< empty: not requested, skipped
+};
+
+/// Probe-opens every path for writing (creating parent directories
+/// first), so a bad output destination fails at parse time instead of
+/// after a full campaign run.  A file newly created by the probe is
+/// removed again; an existing file is left untouched (the probe opens in
+/// append mode and writes nothing).  When a path is unwritable, the
+/// directories this call created are removed again before the exception
+/// propagates, so a rejected run leaves nothing behind.
+/// \throws std::invalid_argument naming the first unwritable flag.
+void probe_output_paths(const std::vector<OutputFlag>& outputs);
 
 /// One artifact a program writes once its run finished.
 struct OutputFile {

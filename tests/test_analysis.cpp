@@ -445,7 +445,8 @@ TEST(BenchCompare, FlagsRegressionsBeyondTolerance) {
   EXPECT_NEAR(cmp.deltas[1].ratio, 1.35, 1e-12);
   EXPECT_TRUE(cmp.regressed);
 
-  // An injected 2.5x slowdown (the CI fixture) always gates.
+  // An injected 2.5x slowdown (smoke_bench_compare_slowdown's fixture)
+  // always gates.
   const auto doubled = bench_doc("\"fast\": {\"median_s\": 2.5}");
   EXPECT_TRUE(ho::compare_benchmarks(base, doubled, 0.6).regressed);
 }

@@ -142,13 +142,13 @@ TEST(Cli, NodesListRequiresCampaign) {
 // --- Output-path probing (fail fast, before hours of simulation) -----------
 
 TEST(CliProbe, EmptyPathIsSkipped) {
-  EXPECT_NO_THROW(hs::probe_output_path("--trace-out", ""));
+  EXPECT_NO_THROW(hs::probe_output_paths({{"--trace-out", ""}}));
 }
 
 TEST(CliProbe, UnwritablePathThrowsWithFlagName) {
   // /dev/null is a file, so any path beneath it can never be created.
   try {
-    hs::probe_output_path("--trace-out", "/dev/null/x/trace.json");
+    hs::probe_output_paths({{"--trace-out", "/dev/null/x/trace.json"}});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--trace-out"), std::string::npos);
@@ -166,7 +166,7 @@ TEST(CliProbe, RemovesProbeFileButKeepsExistingData) {
   // A fresh path (in a directory the probe itself creates) leaves no
   // residue behind...
   const fs::path fresh = dir / "sub" / "new.csv";
-  EXPECT_NO_THROW(hs::probe_output_path("--csv", fresh.string()));
+  EXPECT_NO_THROW(hs::probe_output_paths({{"--csv", fresh.string()}}));
   EXPECT_FALSE(fs::exists(fresh));
 
   // ...and an existing file keeps its bytes (append-mode probe).
@@ -175,7 +175,7 @@ TEST(CliProbe, RemovesProbeFileButKeepsExistingData) {
     std::ofstream out(existing);
     out << "precious\n";
   }
-  EXPECT_NO_THROW(hs::probe_output_path("--csv", existing.string()));
+  EXPECT_NO_THROW(hs::probe_output_paths({{"--csv", existing.string()}}));
   ASSERT_TRUE(fs::exists(existing));
   std::ifstream in(existing);
   std::stringstream buf;
@@ -275,4 +275,32 @@ TEST(CliOutputs, StopsAtTheFirstUnwritablePath) {
   EXPECT_EQ(writes, 0);
   EXPECT_EQ(log.str(), "");
   EXPECT_EQ(err.str(), "error: cannot write '/dev/null/x/a.csv'\n");
+}
+
+TEST(CliOutputs, RejectedRunLeavesNoDirectoriesBehind) {
+  // bench_gateway --csv out/g.csv --trace-out blocker/t.json, with blocker
+  // a file: the --csv probe creates out/, the --trace-out probe fails, and
+  // the run exits 2.  The directory the first probe made must go again,
+  // while everything that existed before stays.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hpcs_cli_rejected_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path blocker = dir / "blocker";
+  std::ofstream(blocker) << "a file, not a directory\n";
+  EXPECT_THROW(
+      hs::probe_output_paths(
+          {{"--csv", (dir / "out" / "nested" / "g.csv").string()},
+           {"--trace-out", (blocker / "t.json").string()}}),
+      std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir / "out"));
+  EXPECT_TRUE(fs::is_regular_file(blocker));
+  EXPECT_TRUE(fs::is_directory(dir));
+  // study_cli's probes roll back the same way.
+  const auto o = parse({"--campaign", "--trace-out",
+                        (dir / "traces" / "t.json").string().c_str(),
+                        "--csv", (blocker / "c.csv").string().c_str()});
+  EXPECT_THROW(hs::validate_output_paths(o), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir / "traces"));
+  fs::remove_all(dir);
 }

@@ -381,8 +381,8 @@ TEST(ObsCampaign, CellTracesCoverDeploymentAndPhases) {
 
 TEST(ObsCampaign, TraceJsonEscapesHostileNames) {
   // Span, instant, and process names with quotes/backslashes/control
-  // characters must survive a JSON round-trip — the same guarantee CI's
-  // `python3 -m json.tool` smoke asserts on real traces.
+  // characters must survive a JSON round-trip — the same guarantee the
+  // smoke ctests' string(JSON) check asserts on real traces.
   auto sink = std::make_shared<ho::MemorySink>();
   ho::Collector col(sink);
   col.span(0, "na\"me\\with\njunk", "cat\tegory", 0.0, 1.0);

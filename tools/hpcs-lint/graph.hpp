@@ -20,8 +20,8 @@
 /// cases in milliseconds and inside test fixtures.
 ///
 /// The same graph exports a module-level DOT diagram (one node per src/
-/// module, ranked by layer) that docs/architecture.md embeds and the
-/// lint-layering CI step uploads; tests pin it as a golden snapshot.
+/// module, ranked by layer) that docs/architecture.md embeds; tests pin
+/// it as a golden snapshot.
 
 #include <map>
 #include <set>

@@ -1,6 +1,5 @@
 // hpcs-lint CLI: scans the tree (or explicit paths) and exits nonzero on
-// any finding, so both the `lint_tree` ctest entry and the CI job fail
-// loudly.
+// any finding, so the `lint_tree` ctest entry fails loudly.
 //
 //   hpcs-lint [--root DIR] [--list-rules] [--dot FILE] [paths...]
 //
@@ -8,7 +7,7 @@
 // the root (tools/hpcs-lint/fixtures/ excluded), including the
 // include-graph pass (layer DAG, cycles, header self-containment).
 // --dot writes the module-level layering diagram (Graphviz) that
-// docs/architecture.md embeds and the lint-layering CI step uploads.
+// docs/architecture.md embeds.
 // Output is deterministic: findings sorted by (file, line, rule).
 
 #include <cstring>

@@ -31,7 +31,6 @@
 #include "gateway/breaker.hpp"
 #include "gateway/cache.hpp"
 #include "gateway/hedge.hpp"
-#include "gateway/singleflight.hpp"
 #include "hw/presets.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -178,27 +177,6 @@ void run_trace_export(const ho::TraceData& trace) {
   std::ostringstream out;
   ho::write_chrome_trace(out, trace, "bench-self");
   g_checksum = g_checksum + static_cast<double>(out.str().size());
-}
-
-void run_gateway_singleflight() {
-  // The gateway's dedup hot path: every miss joins (or creates) a group
-  // keyed by digest, every completion retires one.  64 hot digests, 32k
-  // joins — the pull-storm shape where dedup pays off.
-  hpcs::gateway::SingleFlight flight;
-  std::vector<std::string> digests;
-  digests.reserve(64);
-  for (int d = 0; d < 64; ++d)
-    digests.push_back("sha256:bench-digest-" + std::to_string(d));
-  std::uint64_t members = 0;
-  for (int i = 0; i < 32768; ++i) {
-    const std::string& digest =
-        digests[static_cast<std::size_t>(i * 31 % 64)];
-    const auto join = flight.join(digest);
-    members += static_cast<std::uint64_t>(join.members);
-    if (join.members == 8) flight.complete(digest);
-  }
-  g_checksum = g_checksum + static_cast<double>(members) +
-               static_cast<double>(flight.coalesced());
 }
 
 void run_gateway_cache_lookup() {
@@ -411,8 +389,6 @@ int main(int argc, char** argv) {
   results.push_back(run_bench("trace_export", reps, [&export_trace] {
     run_trace_export(export_trace);
   }));
-  results.push_back(run_bench("gateway_singleflight_map", reps,
-                              [] { run_gateway_singleflight(); }));
   results.push_back(run_bench("gateway_cache_lookup", reps,
                               [] { run_gateway_cache_lookup(); }));
   results.push_back(run_bench("gateway_breaker_fsm", reps,

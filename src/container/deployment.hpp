@@ -24,7 +24,6 @@
 #include <utility>
 
 #include "container/image.hpp"
-#include "container/registry.hpp"
 #include "container/runtime.hpp"
 #include "fault/hazard.hpp"
 #include "fault/resilience.hpp"

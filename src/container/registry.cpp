@@ -78,129 +78,4 @@ double Registry::concurrent_pull_time(std::uint64_t bytes_per_node,
   return total;
 }
 
-double Registry::concurrent_pull_time(std::uint64_t bytes_per_node,
-                                      int concurrent_pullers,
-                                      double node_downlink_bw,
-                                      const fault::FaultInjector& injector,
-                                      const fault::RetryPolicy& retry,
-                                      int* retries_out,
-                                      obs::Collector* collector,
-                                      int track) const {
-  if (concurrent_pullers < 1)
-    throw std::invalid_argument("Registry: pullers must be >= 1");
-  if (node_downlink_bw <= 0)
-    throw std::invalid_argument("Registry: downlink must be > 0");
-  retry.validate();
-  if (retries_out) *retries_out = 0;
-  if (bytes_per_node == 0 || !injector.spec().enabled)
-    return concurrent_pull_time(bytes_per_node, concurrent_pullers,
-                                node_downlink_bw, collector, track);
-
-  // Waves as in the fault-free form; within a wave each puller pays its
-  // base transfer plus wasted fractions and backoff for every transient
-  // error, and the wave completes with its slowest member.
-  double total = 0.0;
-  int puller = 0;
-  int remaining = concurrent_pullers;
-  while (remaining > 0) {
-    const int in_wave = std::min(remaining, max_streams_);
-    remaining -= in_wave;
-    const double per_node_bw =
-        std::min(node_downlink_bw, egress_bw_ / static_cast<double>(in_wave));
-    const double base = static_cast<double>(bytes_per_node) / per_node_bw;
-    const bool record = collector && collector->enabled();
-    double wave_time = 0.0;
-    for (int i = 0; i < in_wave; ++i, ++puller) {
-      const int failures = injector.pull_failures(puller, retry.max_attempts);
-      if (failures >= retry.max_attempts)
-        throw fault::FaultError("Registry: puller " + std::to_string(puller) +
-                                " exhausted its retry budget");
-      double t = base;
-      for (int a = 0; a < failures; ++a)
-        t += base * injector.wasted_fraction(puller, a);
-      t += retry.total_backoff(failures);
-      if (retries_out) *retries_out += failures;
-      if (record && failures > 0) {
-        collector->instant(track, "pull-retry", "registry", total,
-                           {{"puller", std::to_string(puller)},
-                            {"failures", std::to_string(failures)}});
-        collector->count("registry/pull_retries",
-                         static_cast<double>(failures));
-      }
-      wave_time = std::max(wave_time, t);
-    }
-    if (record) {
-      collector->span(track, "pull-wave", "registry", total, wave_time,
-                      {{"pullers", std::to_string(in_wave)}});
-      collector->observe("registry/wave_s", wave_time);
-    }
-    total += wave_time;
-  }
-  return total;
-}
-
-double Registry::concurrent_pull_time(std::uint64_t bytes_per_node,
-                                      const std::vector<std::string>& tenants,
-                                      double node_downlink_bw,
-                                      const fault::FaultInjector& injector,
-                                      const fault::RetryPolicy& retry,
-                                      int* retries_out,
-                                      obs::Collector* collector,
-                                      int track) const {
-  if (tenants.empty())
-    throw std::invalid_argument("Registry: tenant list is empty");
-  if (node_downlink_bw <= 0)
-    throw std::invalid_argument("Registry: downlink must be > 0");
-  retry.validate();
-  if (retries_out) *retries_out = 0;
-  if (bytes_per_node == 0 || !injector.spec().enabled)
-    return concurrent_pull_time(bytes_per_node,
-                                static_cast<int>(tenants.size()),
-                                node_downlink_bw, collector, track);
-
-  // Waves as in the index-based form, but every tenant's failure and
-  // wasted-fraction draws come from its own named stream, so the wave a
-  // tenant lands in (or the job that serves it) never changes its draws.
-  double total = 0.0;
-  std::size_t next = 0;
-  while (next < tenants.size()) {
-    const int in_wave = static_cast<int>(
-        std::min(tenants.size() - next,
-                 static_cast<std::size_t>(max_streams_)));
-    const double per_node_bw =
-        std::min(node_downlink_bw, egress_bw_ / static_cast<double>(in_wave));
-    const double base = static_cast<double>(bytes_per_node) / per_node_bw;
-    const bool record = collector && collector->enabled();
-    double wave_time = 0.0;
-    for (int i = 0; i < in_wave; ++i, ++next) {
-      const std::string& tenant = tenants[next];
-      const int failures =
-          injector.pull_failures(tenant, retry.max_attempts);
-      if (failures >= retry.max_attempts)
-        throw fault::FaultError("Registry: tenant '" + tenant +
-                                "' exhausted its retry budget");
-      double t = base;
-      for (int a = 0; a < failures; ++a)
-        t += base * injector.wasted_fraction(tenant, a);
-      t += retry.total_backoff(failures);
-      if (retries_out) *retries_out += failures;
-      if (record && failures > 0) {
-        collector->instant(track, "pull-retry", "registry", total,
-                           {{"tenant", tenant},
-                            {"failures", std::to_string(failures)}});
-        collector->count("registry/pull_retries",
-                         static_cast<double>(failures));
-      }
-      wave_time = std::max(wave_time, t);
-    }
-    if (record) {
-      collector->span(track, "pull-wave", "registry", total, wave_time,
-                      {{"pullers", std::to_string(in_wave)}});
-      collector->observe("registry/wave_s", wave_time);
-    }
-    total += wave_time;
-  }
-  return total;
-}
-
 }  // namespace hpcs::container

@@ -14,11 +14,8 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "container/image.hpp"
-#include "fault/resilience.hpp"
-#include "fault/schedule.hpp"
 #include "obs/collector.hpp"
 
 namespace hpcs::container {
@@ -50,38 +47,6 @@ class Registry {
   double concurrent_pull_time(std::uint64_t bytes_per_node,
                               int concurrent_pullers,
                               double node_downlink_bw,
-                              obs::Collector* collector = nullptr,
-                              int track = 0) const;
-
-  /// Retry-aware variant: each puller may suffer transient errors drawn
-  /// from its named stream in \p injector; a failed attempt wastes a
-  /// drawn fraction of the transfer and backs off per \p retry before
-  /// re-entering its wave.  Reports the retry count via \p retries_out;
-  /// retried pulls additionally become "pull-retry" instant markers.
-  /// \throws fault::FaultError when a puller exhausts the retry budget.
-  double concurrent_pull_time(std::uint64_t bytes_per_node,
-                              int concurrent_pullers,
-                              double node_downlink_bw,
-                              const fault::FaultInjector& injector,
-                              const fault::RetryPolicy& retry,
-                              int* retries_out = nullptr,
-                              obs::Collector* collector = nullptr,
-                              int track = 0) const;
-
-  /// Multi-tenant variant: one puller per entry of \p tenants, with each
-  /// tenant's transient errors drawn from its *named* fault stream
-  /// ("fault/pull/<tenant>") instead of a shared index-ordered backoff
-  /// schedule.  A tenant therefore sees the same retry draws no matter
-  /// how the tenant set is batched, ordered, or sharded across gateway
-  /// jobs — the jobs-invariance the index-based overload cannot give
-  /// once pullers are split over workers.
-  /// \throws fault::FaultError when a tenant exhausts the retry budget.
-  double concurrent_pull_time(std::uint64_t bytes_per_node,
-                              const std::vector<std::string>& tenants,
-                              double node_downlink_bw,
-                              const fault::FaultInjector& injector,
-                              const fault::RetryPolicy& retry,
-                              int* retries_out = nullptr,
                               obs::Collector* collector = nullptr,
                               int track = 0) const;
 

@@ -65,11 +65,10 @@ GatewayService::GatewayService(GatewayConfig config,
 void GatewayService::submit(const PullRequest& request) {
   if (finished_)
     throw std::logic_error("GatewayService: submit after finish()");
-  if (request.time < now_)
+  if (request.time < engine_.now())
     throw std::invalid_argument(
         "GatewayService: arrivals must be time-ordered");
-  advance_to(request.time);
-  now_ = request.time;
+  engine_.run_until(request.time);
   ++stats_.arrivals;
   const bool record = collector_ && collector_->enabled();
   if (record) {
@@ -137,10 +136,10 @@ void GatewayService::submit(const PullRequest& request) {
       config_.deadline.enabled
           ? request.time + config_.deadline.budget_s
           : std::numeric_limits<double>::infinity();
-  if (flight_.active(digest)) {
-    flight_.join(digest);
-    groups_.at(digest).waiters.push_back(
+  if (const auto joined = groups_.find(digest); joined != groups_.end()) {
+    joined->second.waiters.push_back(
         Waiter{request.tenant, request.time, deadline});
+    ++stats_.coalesced;
     ++outstanding_;
   } else {
     // A new group means new fetch work; while the breaker is open, the
@@ -163,7 +162,6 @@ void GatewayService::submit(const PullRequest& request) {
       }
       return;
     }
-    flight_.join(digest);
     Group group;
     group.image = request.image;
     group.leader_tenant = request.tenant;
@@ -181,19 +179,6 @@ void GatewayService::submit(const PullRequest& request) {
   }
   stats_.max_outstanding =
       std::max(stats_.max_outstanding, static_cast<std::size_t>(outstanding_));
-}
-
-void GatewayService::advance_to(double t) {
-  while (!busy_.empty()) {
-    const auto it = busy_.begin();
-    const double end = std::get<0>(it->first);
-    if (end > t) break;
-    const int worker = std::get<2>(it->first);
-    const std::string digest = it->second;
-    busy_.erase(it);
-    complete_job(worker, digest, end);
-    start_next_job(worker, end);
-  }
 }
 
 void GatewayService::start_next_job(int worker, double now) {
@@ -219,7 +204,6 @@ void GatewayService::start_next_job(int worker, double now) {
       group.waiters = std::move(alive);
       if (group.waiters.empty()) {
         groups_.erase(digest);
-        flight_.complete(digest);
         continue;  // the whole group expired; no fetch at all
       }
     }
@@ -236,7 +220,6 @@ void GatewayService::start_next_job(int worker, double now) {
           shed_breaker(now);
       }
       groups_.erase(digest);
-      flight_.complete(digest);
       continue;
     }
 
@@ -330,7 +313,10 @@ void GatewayService::start_next_job(int worker, double now) {
                          service - fetch,
                          {{"digest", digest}});
     }
-    busy_.emplace(std::make_tuple(end, seq_++, worker), digest);
+    engine_.schedule_at(end, [this, worker, digest, end] {
+      complete_job(digest, end);
+      start_next_job(worker, end);
+    });
     return;
   }
   idle_workers_.insert(worker);
@@ -466,12 +452,9 @@ double GatewayService::apply_crashes(int worker, double start,
   return t0 + service_s;
 }
 
-void GatewayService::complete_job(int worker, const std::string& digest,
-                                  double end) {
-  (void)worker;
+void GatewayService::complete_job(const std::string& digest, double end) {
   Group group = std::move(groups_.at(digest));
   groups_.erase(digest);
-  flight_.complete(digest);
   const std::uint64_t bytes = catalog_.bytes(group.image);
   outstanding_ -= group.waiters.size();
   const bool record = collector_ && collector_->enabled();
@@ -518,9 +501,8 @@ void GatewayService::complete_job(int worker, const std::string& digest,
 
 const GatewayStats& GatewayService::finish() {
   if (!finished_) {
-    advance_to(std::numeric_limits<double>::infinity());
+    engine_.run();
     finished_ = true;
-    stats_.coalesced = flight_.coalesced();
     stats_.breaker_opens = breaker_.opens();
     stats_.cache = cache_.stats();
     if (collector_ && collector_->enabled()) {

@@ -32,11 +32,12 @@
 ///   * with `serve_stale`, an open breaker degrades to serving recently
 ///     evicted shared-tier entries (counted in `stale_served`).
 ///
-/// The simulation is a small deterministic discrete-event loop: arrivals
-/// must be fed in non-decreasing time order, worker completions are
-/// processed from an ordered set with sequence-number tie-breaks, and no
-/// draw or data structure depends on host time or thread identity — so a
-/// run is byte-reproducible from (config, catalog, injector seed).
+/// The simulation runs on a `sim::Engine`: arrivals must be fed in
+/// non-decreasing time order and advance the engine's clock to their
+/// time, worker completions are engine events (equal times fire in
+/// dispatch order), and no draw or data structure depends on host time or
+/// thread identity — so a run is byte-reproducible from (config, catalog,
+/// injector seed).
 
 #include <cstdint>
 #include <deque>
@@ -44,7 +45,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "fault/hazard.hpp"
@@ -53,9 +53,9 @@
 #include "gateway/cache.hpp"
 #include "gateway/config.hpp"
 #include "gateway/hedge.hpp"
-#include "gateway/singleflight.hpp"
 #include "gateway/workload.hpp"
 #include "obs/collector.hpp"
+#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 
 namespace hpcs::gateway {
@@ -73,7 +73,7 @@ struct GatewayStats {
   std::uint64_t deadline_sheds = 0;   ///< deadline budget exhausted
   std::uint64_t breaker_fastfail = 0; ///< shed while the breaker was open
   std::uint64_t stale_served = 0;     ///< degraded stale shared-tier serves
-  std::uint64_t coalesced = 0;           ///< joins absorbed by single-flight
+  std::uint64_t coalesced = 0;  ///< misses that joined an in-flight group
   std::uint64_t upstream_fetches = 0;
   std::uint64_t conversions = 0;
   std::uint64_t upstream_retries = 0;
@@ -103,6 +103,11 @@ class GatewayService {
                  double horizon_s, obs::Collector* collector = nullptr,
                  const fault::HazardInjector& hazards = {});
 
+  /// Scheduled completions capture `this`, so a copy or move would leave
+  /// them calling into the old object.
+  GatewayService(const GatewayService&) = delete;
+  GatewayService& operator=(const GatewayService&) = delete;
+
   /// Feeds one arrival; times must be non-decreasing.
   void submit(const PullRequest& request);
 
@@ -122,7 +127,8 @@ class GatewayService {
   };
 
   /// One single-flight group: the conversion job for a digest, plus the
-  /// tenants it will serve on completion.
+  /// tenants it will serve on completion.  The first miss for a digest
+  /// creates it and leads the fetch; later misses join it.
   struct Group {
     int image = 0;
     int leader_tenant = 0;
@@ -139,12 +145,11 @@ class GatewayService {
     bool exhausted = false;
   };
 
-  void advance_to(double t);
   /// Picks the next runnable group off the queue (shedding expired or
   /// breaker-blocked groups along the way) and dispatches it on
   /// \p worker, or parks the worker idle when nothing is runnable.
   void start_next_job(int worker, double now);
-  void complete_job(int worker, const std::string& digest, double end);
+  void complete_job(const std::string& digest, double end);
   /// Walks the worker's crash schedule across a nominal service time and
   /// returns the actual end; counts restarts and records fault spans.
   double apply_crashes(int worker, double start, double service_s);
@@ -172,21 +177,17 @@ class GatewayService {
   double horizon_s_;
   obs::Collector* collector_;  ///< null or disabled = record nothing
 
+  sim::Engine engine_;  ///< worker completions
   TieredCache cache_;
-  SingleFlight flight_;
   fault::HazardSchedule hazards_;
   CircuitBreaker breaker_;
   HedgePlanner hedge_;
-  std::map<std::string, Group> groups_;
+  std::map<std::string, Group> groups_;  ///< in-flight groups by digest
   std::deque<std::string> queue_;  ///< digests waiting for a worker
   std::set<int> idle_workers_;
-  /// Busy-worker completions: (end time, sequence, worker) -> digest.
-  std::map<std::tuple<double, std::uint64_t, int>, std::string> busy_;
   std::vector<std::vector<double>> crash_times_;  ///< per worker, sorted
   std::vector<std::size_t> crash_cursor_;
-  std::uint64_t seq_ = 0;
   std::uint64_t outstanding_ = 0;  ///< admitted, unfinished miss requests
-  double now_ = 0.0;
   bool finished_ = false;
 
   GatewayStats stats_;

@@ -7,7 +7,7 @@ namespace hpcs::sched {
 
 namespace {
 
-/// Digest key for the single-flight/cache layer: the converted artifact
+/// Digest key for the in-flight groups and the cache: the converted artifact
 /// is per (image digest, target format), so Singularity and Shifter pulls
 /// of the same image are distinct cache entries.
 std::string convert_key(const std::string& digest,
@@ -95,13 +95,15 @@ void DeployPipeline::start(int job, container::RuntimeKind runtime,
     return;
   }
 
-  // Miss: coalesce through single-flight; the leader owns the fetch.
-  const gateway::SingleFlight::Join join = flight_.join(key);
-  Group& group = groups_[key];
+  // Miss: the first job to miss creates the in-flight group and leads
+  // the fetch; later misses join it.
+  const auto [it, leader] = groups_.try_emplace(key);
+  Group& group = it->second;
   group.waiters.push_back(job);
   group.runtime = runtime;
   group.bytes = bytes;
-  if (!join.leader) {
+  if (!leader) {
+    ++stats_.coalesced;
     if (collector_) collector_->count("sched/deploy/coalesced");
     return;
   }
@@ -145,7 +147,6 @@ void DeployPipeline::cancel(int job) {
 
 const DeployStats& DeployPipeline::stats() {
   stats_.cache = cache_.stats();
-  stats_.coalesced = flight_.coalesced();
   return stats_;
 }
 
@@ -256,7 +257,6 @@ void DeployPipeline::finish_conversion(const std::string& digest,
   Group group = std::move(groups_.at(digest));
   groups_.erase(digest);
   cache_.install(digest, group.bytes);
-  flight_.complete(digest);
   const double fbytes = static_cast<double>(group.bytes);
   for (const int waiter : group.waiters) {
     if (cancelled_.count(waiter) != 0) continue;

@@ -11,8 +11,8 @@
 ///     share the shared-filesystem read bandwidth — processor sharing:
 ///     N concurrent transfers each progress at bw/N, recomputed at every
 ///     membership change, so a pull storm stretches everybody;
-///   * cache misses coalesce per (digest, runtime) through the PR-7
-///     gateway's SingleFlight — one fetch + conversion serves every
+///   * cache misses coalesce per (digest, runtime) into single-flight
+///     groups, as in the gateway — one fetch + conversion serves every
 ///     concurrently-queued job asking for the image;
 ///   * conversions (Docker layers -> squashfs/SIF) run on the gateway's
 ///     bounded worker pool behind a FIFO queue;
@@ -44,7 +44,6 @@
 #include "fault/hazard.hpp"
 #include "gateway/cache.hpp"
 #include "gateway/config.hpp"
-#include "gateway/singleflight.hpp"
 #include "gateway/workload.hpp"
 #include "obs/collector.hpp"
 #include "sim/engine.hpp"
@@ -55,7 +54,7 @@ struct DeployStats {
   std::uint64_t deploys = 0;           ///< container deployments started
   std::uint64_t upstream_fetches = 0;  ///< registry fetches dispatched
   std::uint64_t conversions = 0;
-  std::uint64_t coalesced = 0;  ///< joins absorbed by single-flight
+  std::uint64_t coalesced = 0;  ///< misses that joined an in-flight group
   std::uint64_t bytes_transferred = 0;
   std::size_t max_active_transfers = 0;
   std::size_t max_conversion_queue = 0;
@@ -93,7 +92,7 @@ class DeployPipeline {
     return transfers_.size();
   }
 
-  /// Syncs cache/coalescing counters and returns the totals.
+  /// Syncs the cache counters and returns the totals.
   const DeployStats& stats();
 
  private:
@@ -115,6 +114,7 @@ class DeployPipeline {
   };
 
   /// One single-flight group: jobs awaiting a (digest, runtime) install.
+  /// The first miss creates it and leads the fetch; later misses join.
   struct Group {
     std::vector<int> waiters;
     container::RuntimeKind runtime = container::RuntimeKind::Shifter;
@@ -143,10 +143,9 @@ class DeployPipeline {
   obs::Collector* collector_;  ///< null or disabled = record nothing
 
   gateway::TieredCache cache_;
-  gateway::SingleFlight flight_;
   std::map<std::uint64_t, Transfer> transfers_;
   std::uint64_t next_transfer_ = 1;
-  std::map<std::string, Group> groups_;
+  std::map<std::string, Group> groups_;  ///< in-flight groups by key
   std::deque<std::string> conversion_queue_;
   int busy_workers_ = 0;
   std::set<int> cancelled_;

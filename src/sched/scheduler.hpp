@@ -143,6 +143,12 @@ class BatchScheduler {
                  fault::FaultInjector faults, fault::HazardSchedule hazards,
                  obs::Collector* collector = nullptr);
 
+  /// Scheduled events capture `this` and the pipeline holds `engine_` by
+  /// reference, so a copy or move would leave them pointing at the old
+  /// object.
+  BatchScheduler(const BatchScheduler&) = delete;
+  BatchScheduler& operator=(const BatchScheduler&) = delete;
+
   /// Runs the whole workload to completion (the event queue drains —
   /// every job reaches a terminal state).  Call once.
   SchedResult run();

@@ -6,11 +6,16 @@
 /// Ordering is (time, sequence): events at equal times fire in scheduling
 /// order, which makes every simulation bit-reproducible regardless of
 /// floating-point ties.
+///
+/// Memory is O(pending events), not O(events ever pushed): an action lives
+/// in a slot that is recycled through a free list as soon as the event
+/// fires or is cancelled, and cancelled heap entries are purged once they
+/// outnumber the live ones.  An EventId carries the slot's generation, so
+/// a stale id (fired or cancelled) never touches the slot's next occupant.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace hpcs::sim {
@@ -29,8 +34,8 @@ class EventQueue {
   EventId push(SimTime t, std::function<void()> fn);
 
   /// Cancels a pending event.  Returns false if the event already fired,
-  /// was cancelled before, or the id is unknown.  Cancellation is lazy:
-  /// the entry stays in the heap and is skipped on pop.
+  /// was cancelled before, or the id is unknown.  The action is released
+  /// at once; its heap entry is skipped on pop.
   bool cancel(EventId id);
 
   bool empty() const;
@@ -48,19 +53,32 @@ class EventQueue {
  private:
   struct Entry {
     SimTime time;
-    EventId id;
-    // min-heap on (time, id)
+    std::uint64_t seq;  ///< push order: the tie-break at equal times
+    std::uint32_t slot;
+    std::uint32_t generation;
+    // min-heap on (time, seq)
     bool operator>(const Entry& o) const {
       if (time != o.time) return time > o.time;
-      return id > o.id;
+      return seq > o.seq;
     }
   };
 
+  struct Slot {
+    std::function<void()> action;
+    std::uint32_t generation = 0;  ///< bumped every time the slot frees
+    bool live = false;
+  };
+
+  bool stale(const Entry& e) const {
+    return slots_[e.slot].generation != e.generation;
+  }
+  void release(std::uint32_t slot);
   void drop_cancelled_head() const;
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::vector<std::function<void()>> actions_;  // indexed by EventId
-  std::vector<bool> cancelled_;
+  mutable std::vector<Entry> heap_;  ///< std::push_heap/pop_heap order
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
 };
 

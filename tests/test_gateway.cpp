@@ -7,13 +7,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fault/spec.hpp"
 #include "gateway/cache.hpp"
 #include "gateway/config.hpp"
 #include "gateway/service.hpp"
-#include "gateway/singleflight.hpp"
 #include "gateway/study.hpp"
 #include "gateway/workload.hpp"
 #include "sim/rng.hpp"
@@ -44,34 +44,6 @@ hg::ImageCatalog tiny_catalog(int images = 16) {
 hf::FaultInjector inert() { return hf::FaultInjector(hf::FaultSpec{}, 1); }
 
 }  // namespace
-
-TEST(SingleFlight, FirstJoinLeadsLaterJoinsCoalesce) {
-  hg::SingleFlight flight;
-  EXPECT_FALSE(flight.active("sha256:a"));
-  const auto first = flight.join("sha256:a");
-  EXPECT_TRUE(first.leader);
-  EXPECT_EQ(first.members, 1);
-  const auto second = flight.join("sha256:a");
-  EXPECT_FALSE(second.leader);
-  EXPECT_EQ(second.members, 2);
-  EXPECT_TRUE(flight.active("sha256:a"));
-  EXPECT_EQ(flight.members("sha256:a"), 2);
-  EXPECT_EQ(flight.coalesced(), 1u);
-  EXPECT_EQ(flight.complete("sha256:a"), 2);
-  EXPECT_FALSE(flight.active("sha256:a"));
-  // A fresh pull after completion starts a new group.
-  EXPECT_TRUE(flight.join("sha256:a").leader);
-}
-
-TEST(SingleFlight, DigestsAreIndependent) {
-  hg::SingleFlight flight;
-  flight.join("sha256:a");
-  flight.join("sha256:b");
-  EXPECT_EQ(flight.inflight(), 2u);
-  EXPECT_EQ(flight.members("sha256:a"), 1);
-  EXPECT_EQ(flight.complete("sha256:c"), 0);
-  EXPECT_EQ(flight.coalesced(), 0u);
-}
 
 TEST(LruTier, EvictsLeastRecentlyUsedInOrder) {
   hg::LruTier tier(300);
@@ -116,23 +88,34 @@ TEST(TieredCache, SharedHitPromotesIntoLocalTier) {
   EXPECT_EQ(cache.stats().lookups(), 3u);
 }
 
+// Scheduled completions capture `this`: the service must stay put.
+static_assert(!std::is_copy_constructible_v<hg::GatewayService>);
+static_assert(!std::is_move_constructible_v<hg::GatewayService>);
+static_assert(!std::is_move_assignable_v<hg::GatewayService>);
+
 TEST(GatewayService, PullStormCoalescesToOneUpstreamFetch) {
   const auto catalog = tiny_catalog();
+  ASSERT_NE(catalog.digest(0), catalog.digest(1));
   hg::GatewayConfig config;
   hg::GatewayService service(config, hc::RuntimeKind::Shifter, catalog,
                              inert(), 200.0);
-  // 8 tenants slam the same digest before the first fetch completes.
+  // 8 tenants slam one digest and 4 others a second digest before either
+  // fetch completes: the first miss per digest leads, the rest join.
   for (int tenant = 0; tenant < 8; ++tenant)
     service.submit(hg::PullRequest{0.0, tenant, 0});
+  for (int tenant = 8; tenant < 12; ++tenant)
+    service.submit(hg::PullRequest{0.0, tenant, 1});
   const hg::GatewayStats& stats = service.finish();
-  EXPECT_EQ(stats.arrivals, 8u);
-  EXPECT_EQ(stats.upstream_fetches, 1u);
-  EXPECT_EQ(stats.conversions, 1u);
-  EXPECT_EQ(stats.coalesced, 7u);
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.cache.misses, 8u);  // all arrived before the install
-  // After the install, the same digest is a local hit.
+  EXPECT_EQ(stats.arrivals, 12u);
+  // One fetch + conversion per digest; the groups never merge.
+  EXPECT_EQ(stats.upstream_fetches, 2u);
+  EXPECT_EQ(stats.conversions, 2u);
+  EXPECT_EQ(stats.coalesced, 7u + 3u);
+  EXPECT_EQ(stats.completed, 12u);
+  EXPECT_EQ(stats.cache.misses, 12u);  // all arrived before the installs
+  // After the install, each digest is a local hit.
   EXPECT_TRUE(service.cache().local().contains(catalog.digest(0)));
+  EXPECT_TRUE(service.cache().local().contains(catalog.digest(1)));
 }
 
 TEST(GatewayService, CacheHitIsServedWithoutWorkers) {
@@ -148,6 +131,24 @@ TEST(GatewayService, CacheHitIsServedWithoutWorkers) {
   EXPECT_EQ(stats.completed, 2u);
   // The hit pays only the local read, far below fetch + conversion.
   EXPECT_LT(stats.start_latency.min(), 1.0);
+}
+
+TEST(GatewayService, MissAfterCompletionLeadsAFreshGroup) {
+  const auto catalog = tiny_catalog();
+  hg::GatewayConfig config;
+  // Tiers smaller than any image: nothing is cached, every pull misses.
+  config.local_cache_bytes = 1;
+  config.shared_cache_bytes = 1;
+  hg::GatewayService service(config, hc::RuntimeKind::Shifter, catalog,
+                             inert(), 5000.0);
+  service.submit(hg::PullRequest{0.0, 0, 3});
+  service.submit(hg::PullRequest{4000.0, 1, 3});  // long after completion
+  const hg::GatewayStats& stats = service.finish();
+  EXPECT_EQ(stats.cache.misses, 2u);
+  // The finished group is gone, so the second miss leads its own fetch.
+  EXPECT_EQ(stats.upstream_fetches, 2u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 TEST(GatewayService, AdmissionControlShedsBeyondOutstandingCap) {

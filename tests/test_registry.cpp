@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "container/deployment.hpp"
 #include "container/registry.hpp"
@@ -113,119 +112,6 @@ TEST(Registry, MorePullersThanStreamsQuantizesIntoWaves) {
   const double t5 = reg.concurrent_pull_time(100 << 20, 5, 1e9);
   const double bytes = static_cast<double>(100 << 20);
   EXPECT_NEAR(t5, bytes / (1e9 / 4.0) + bytes / 1e9, 1e-9);
-}
-
-TEST(RegistryFaults, DisabledInjectorMatchesFaultFreeForm) {
-  hc::Registry reg(1e9, 8);
-  const hpcs::fault::FaultInjector inert(hpcs::fault::FaultSpec{}, 1);
-  int retries = -1;
-  const double with = reg.concurrent_pull_time(100 << 20, 8, 1e9, inert,
-                                               hpcs::fault::RetryPolicy{},
-                                               &retries);
-  EXPECT_DOUBLE_EQ(with, reg.concurrent_pull_time(100 << 20, 8, 1e9));
-  EXPECT_EQ(retries, 0);
-}
-
-TEST(RegistryFaults, ZeroBytesStayFreeEvenWithFaults) {
-  hc::Registry reg(1e9, 8);
-  const hpcs::fault::FaultInjector inj(hpcs::fault::FaultSpec::heavy(), 1);
-  EXPECT_DOUBLE_EQ(reg.concurrent_pull_time(0, 64, 1e9, inj,
-                                            hpcs::fault::RetryPolicy{}),
-                   0.0);
-}
-
-TEST(RegistryFaults, TransientErrorsCostTimeDeterministically) {
-  hc::Registry reg(1e9, 4);
-  auto spec = hpcs::fault::FaultSpec::heavy();
-  spec.registry_fault_rate = 0.5;
-  const hpcs::fault::FaultInjector inj(spec, 3);
-  const hpcs::fault::RetryPolicy retry{.max_attempts = 32};
-  int retries1 = 0, retries2 = 0;
-  const double t1 =
-      reg.concurrent_pull_time(100 << 20, 9, 1e9, inj, retry, &retries1);
-  const double t2 =
-      reg.concurrent_pull_time(100 << 20, 9, 1e9, inj, retry, &retries2);
-  EXPECT_GT(retries1, 0);
-  EXPECT_GT(t1, reg.concurrent_pull_time(100 << 20, 9, 1e9));
-  EXPECT_EQ(retries1, retries2);
-  EXPECT_DOUBLE_EQ(t1, t2);
-}
-
-TEST(RegistryFaults, BudgetExhaustionThrows) {
-  hc::Registry reg(1e9, 8);
-  auto spec = hpcs::fault::FaultSpec::heavy();
-  spec.registry_fault_rate = 0.99;
-  const hpcs::fault::FaultInjector inj(spec, 1);
-  EXPECT_THROW((void)reg.concurrent_pull_time(
-                   100 << 20, 16, 1e9, inj,
-                   hpcs::fault::RetryPolicy{.max_attempts = 2}),
-               hpcs::fault::FaultError);
-}
-
-TEST(RegistryFaults, TenantRetriesInvariantToOrderAndSharding) {
-  // Regression for the gateway's jobs-invariance: per-tenant retry draws
-  // come from streams named by the tenant, never by puller index, so the
-  // wave a tenant lands in — or the shard a --jobs split assigns it to —
-  // cannot change its draws.
-  hc::Registry reg(1e9, 4);
-  auto spec = hpcs::fault::FaultSpec::moderate();
-  spec.registry_fault_rate = 0.5;
-  const hpcs::fault::FaultInjector inj(spec, 7);
-  const hpcs::fault::RetryPolicy retry{.max_attempts = 32};
-  std::vector<std::string> tenants;
-  for (int i = 0; i < 12; ++i)
-    tenants.push_back("tenant/" + std::to_string(i));
-
-  int all = 0;
-  (void)reg.concurrent_pull_time(100 << 20, tenants, 1e9, inj, retry, &all);
-  EXPECT_GT(all, 0);
-
-  // Reversed order regroups the waves; the retry total must not move.
-  const std::vector<std::string> reversed(tenants.rbegin(), tenants.rend());
-  int rev = 0;
-  (void)reg.concurrent_pull_time(100 << 20, reversed, 1e9, inj, retry, &rev);
-  EXPECT_EQ(all, rev);
-
-  // Sharded halves (what a parallel grid does): retries sum to the whole.
-  const std::vector<std::string> head(tenants.begin(), tenants.begin() + 5);
-  const std::vector<std::string> tail(tenants.begin() + 5, tenants.end());
-  int head_retries = 0, tail_retries = 0;
-  (void)reg.concurrent_pull_time(100 << 20, head, 1e9, inj, retry,
-                                 &head_retries);
-  (void)reg.concurrent_pull_time(100 << 20, tail, 1e9, inj, retry,
-                                 &tail_retries);
-  EXPECT_EQ(head_retries + tail_retries, all);
-}
-
-TEST(RegistryFaults, TenantFormMatchesIndexFormWhenDisabled) {
-  hc::Registry reg(1e9, 4);
-  const hpcs::fault::FaultInjector inert(hpcs::fault::FaultSpec{}, 1);
-  const std::vector<std::string> tenants = {"a", "b", "c", "d", "e"};
-  int retries = -1;
-  const double named = reg.concurrent_pull_time(
-      100 << 20, tenants, 1e9, inert, hpcs::fault::RetryPolicy{}, &retries);
-  EXPECT_DOUBLE_EQ(named, reg.concurrent_pull_time(100 << 20, 5, 1e9));
-  EXPECT_EQ(retries, 0);
-  EXPECT_THROW((void)reg.concurrent_pull_time(100 << 20, {}, 1e9, inert,
-                                              hpcs::fault::RetryPolicy{}),
-               std::invalid_argument);
-}
-
-TEST(RegistryFaults, TenantBudgetExhaustionNamesTheTenant) {
-  hc::Registry reg(1e9, 8);
-  auto spec = hpcs::fault::FaultSpec::heavy();
-  spec.registry_fault_rate = 0.99;
-  const hpcs::fault::FaultInjector inj(spec, 1);
-  std::vector<std::string> tenants;
-  for (int i = 0; i < 16; ++i)
-    tenants.push_back("tenant/" + std::to_string(i));
-  try {
-    (void)reg.concurrent_pull_time(100 << 20, tenants, 1e9, inj,
-                                   hpcs::fault::RetryPolicy{.max_attempts = 2});
-    FAIL() << "expected hpcs::fault::FaultError";
-  } catch (const hpcs::fault::FaultError& e) {
-    EXPECT_NE(std::string(e.what()).find("tenant/"), std::string::npos);
-  }
 }
 
 TEST(Registry, ClosedFormMatchesDeploymentDes) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -512,6 +513,11 @@ TEST(SchedScenario, RackBurstRequeuesVictimsWhoThenComplete) {
 }
 
 // ------------------------------------------------------ deploy mechanisms
+
+// Scheduled events capture `this`: the scheduler must stay put.
+static_assert(!std::is_copy_constructible_v<hs::BatchScheduler>);
+static_assert(!std::is_move_constructible_v<hs::BatchScheduler>);
+static_assert(!std::is_move_assignable_v<hs::BatchScheduler>);
 
 TEST(SchedDeploy, BareMetalJobsDeployInstantly) {
   const auto result = random_run("fifo-dedicated", "bare-metal", 1.0, 9, 80);

@@ -1,10 +1,14 @@
 // Google-benchmark microkernel suite: the hot paths of the real solver
-// (SpMV, CG, assembly, partitioning) and of the simulator (event engine,
-// deployment DES, experiment replay).  These quantify the cost of
+// (SpMV, CG, assembly, partitioning), of the simulator (event engine,
+// deployment DES, experiment replay) and of the temporal telemetry
+// (time-series windows, quantile sketches).  These quantify the cost of
 // regenerating the paper's figures and guard against performance
 // regressions in the library itself.
 
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <vector>
 
 #include "alya/fem.hpp"
 #include "alya/nastin.hpp"
@@ -15,11 +19,14 @@
 #include "core/images.hpp"
 #include "core/runner.hpp"
 #include "hw/presets.hpp"
+#include "obs/sketch.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace ha = hpcs::alya;
 namespace hc = hpcs::container;
+namespace ho = hpcs::obs;
 namespace hs = hpcs::study;
 
 namespace {
@@ -163,3 +170,40 @@ static void BM_ExperimentRun(benchmark::State& state) {
     benchmark::DoNotOptimize(runner.run(s).avg_step_time);
 }
 BENCHMARK(BM_ExperimentRun)->Arg(4)->Arg(64)->Arg(256);
+
+// The windowed-store hot path: every gateway/scheduler event lands here
+// when temporal telemetry is on — counter bumps, gauge samples, and
+// sketch observations spread over ~137 one-minute windows.
+static void BM_ObsTimeseriesAppend(benchmark::State& state) {
+  for (auto _ : state) {
+    ho::TimeSeries ts(60.0);
+    for (int i = 0; i < 65536; ++i) {
+      const double t = static_cast<double>(i) * 0.125;
+      ts.count("gateway/arrivals", t);
+      if (i % 4 == 0) ts.gauge("gateway/queue_depth", t, double(i % 97));
+      ts.observe("gateway/start_latency_s", t,
+                 0.01 + static_cast<double>(i * 31 % 1000) / 100.0);
+    }
+    benchmark::DoNotOptimize(ts.counter_total("gateway/arrivals"));
+  }
+}
+BENCHMARK(BM_ObsTimeseriesAppend);
+
+// The aggregation hot path behind the campaign's time-series fold: 256
+// per-cell sketches of 64 values each, merged bucket by bucket in index
+// order.
+static void BM_ObsSketchMerge(benchmark::State& state) {
+  for (auto _ : state) {
+    std::vector<ho::QuantileSketch> sketches(
+        256, ho::QuantileSketch(ho::SketchConfig{}));
+    for (std::size_t i = 0; i < sketches.size(); ++i)
+      for (std::size_t k = 0; k < 64; ++k)
+        sketches[i].add(
+            0.001 + static_cast<double>((i * 67 + k * 31) % 4096) / 40.96);
+    ho::QuantileSketch total;
+    for (const ho::QuantileSketch& s : sketches) total.merge(s);
+    benchmark::DoNotOptimize(total.quantile(0.99));
+    benchmark::DoNotOptimize(total.count());
+  }
+}
+BENCHMARK(BM_ObsSketchMerge);

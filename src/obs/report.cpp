@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <stdexcept>
 
 #include "obs/export.hpp"
 #include "sim/csv.hpp"
@@ -458,74 +457,6 @@ void write_critical_path_csv(std::ostream& out, const CriticalPath& path) {
              step.category, step.name, CsvWriter::cell(step.start_s),
              CsvWriter::cell(step.duration_s),
              CsvWriter::cell(step.slack_s)});
-}
-
-BenchComparison compare_benchmarks(const JsonValue& baseline,
-                                   const JsonValue& current,
-                                   double tolerance) {
-  const JsonValue* base_benches = baseline.find("benchmarks");
-  const JsonValue* cur_benches = current.find("benchmarks");
-  if (base_benches == nullptr || !base_benches->is_object() ||
-      cur_benches == nullptr || !cur_benches->is_object())
-    throw std::invalid_argument(
-        "bench documents must carry a \"benchmarks\" object");
-
-  BenchComparison cmp;
-  for (const auto& [name, entry] : base_benches->members) {
-    BenchDelta delta;
-    delta.name = name;
-    delta.baseline_s =
-        entry.is_object() ? entry.at("median_s").number_or(0.0) : 0.0;
-    const JsonValue* cur = cur_benches->find(name);
-    if (cur == nullptr || !cur->is_object()) {
-      delta.regressed = true;
-      delta.note = "missing in current";
-    } else {
-      delta.current_s = cur->at("median_s").number_or(0.0);
-      if (delta.baseline_s > 0.0) {
-        delta.ratio = delta.current_s / delta.baseline_s;
-        delta.regressed = delta.ratio > 1.0 + tolerance;
-      }
-    }
-    cmp.regressed = cmp.regressed || delta.regressed;
-    cmp.deltas.push_back(std::move(delta));
-  }
-  for (const auto& [name, entry] : cur_benches->members) {
-    if (base_benches->find(name) != nullptr) continue;
-    BenchDelta delta;
-    delta.name = name;
-    delta.current_s =
-        entry.is_object() ? entry.at("median_s").number_or(0.0) : 0.0;
-    delta.note = "new benchmark";
-    cmp.deltas.push_back(std::move(delta));
-  }
-  return cmp;
-}
-
-void print_bench_comparison(std::ostream& out, const BenchComparison& cmp) {
-  std::size_t regressions = 0;
-  for (const BenchDelta& d : cmp.deltas) {
-    char line[256];
-    if (!d.note.empty() && d.note != "new benchmark") {
-      std::snprintf(line, sizeof line, "%-32s %s", d.name.c_str(),
-                    d.note.c_str());
-    } else if (d.note == "new benchmark") {
-      std::snprintf(line, sizeof line,
-                    "%-32s current %.6fs (new benchmark)", d.name.c_str(),
-                    d.current_s);
-    } else {
-      std::snprintf(line, sizeof line,
-                    "%-32s baseline %.6fs  current %.6fs  x%.3f",
-                    d.name.c_str(), d.baseline_s, d.current_s, d.ratio);
-    }
-    out << line << (d.regressed ? "  REGRESSED" : "") << "\n";
-    if (d.regressed) ++regressions;
-  }
-  if (cmp.regressed)
-    out << "bench_compare: REGRESSION in " << regressions << " of "
-        << cmp.deltas.size() << " benchmarks\n";
-  else
-    out << "bench_compare: OK (" << cmp.deltas.size() << " benchmarks)\n";
 }
 
 }  // namespace hpcs::obs

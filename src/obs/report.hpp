@@ -2,8 +2,7 @@
 
 /// \file report.hpp
 /// \brief Campaign-level reporting over analyzed traces: per-cell and
-///        aggregate attribution tables, paper-consistency checks, and the
-///        bench-trajectory comparator behind `bench_compare`.
+///        aggregate attribution tables and paper-consistency checks.
 ///
 /// The report layer turns a campaign Chrome trace into the tables the
 /// paper's figures are arguing from — which fraction of each cell's time
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "obs/analysis.hpp"
-#include "obs/json.hpp"
 
 namespace hpcs::obs {
 
@@ -106,31 +104,5 @@ void write_checks_json(std::ostream& out,
 /// Critical path as CSV ("depth,track,category,name,start,duration,
 /// slack"), root first.
 void write_critical_path_csv(std::ostream& out, const CriticalPath& path);
-
-/// One benchmark's baseline-vs-current delta.
-struct BenchDelta {
-  std::string name;
-  double baseline_s = 0.0;  ///< baseline median (0 for new benchmarks)
-  double current_s = 0.0;   ///< current median (0 when missing)
-  double ratio = 0.0;       ///< current / baseline (0 when undefined)
-  bool regressed = false;
-  std::string note;  ///< "missing in current", "new benchmark", or ""
-};
-
-struct BenchComparison {
-  std::vector<BenchDelta> deltas;  ///< baseline order, then new entries
-  bool regressed = false;          ///< any delta regressed
-};
-
-/// Diffs two "hpcs-bench-v1" documents: a benchmark regresses when its
-/// current median exceeds baseline * (1 + tolerance), or when it vanished
-/// from the current run.  New benchmarks are reported but never gate.
-/// \throws std::invalid_argument when either document lacks "benchmarks".
-BenchComparison compare_benchmarks(const JsonValue& baseline,
-                                   const JsonValue& current,
-                                   double tolerance);
-
-/// Human-readable comparison table (one line per delta plus a verdict).
-void print_bench_comparison(std::ostream& out, const BenchComparison& cmp);
 
 }  // namespace hpcs::obs

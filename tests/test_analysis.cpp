@@ -1,7 +1,7 @@
 // The trace-analytics layer: the JSON reader, bottleneck attribution,
 // critical-path extraction, Chrome-trace round-trips, campaign report
-// determinism (jobs invariance + golden attribution table), the paper
-// consistency checks, and the bench comparator behind bench_compare.
+// determinism (jobs invariance + golden attribution table), and the paper
+// consistency checks.
 
 #include <gtest/gtest.h>
 
@@ -87,11 +87,6 @@ std::string attribution_csv(const std::vector<ho::CellReport>& cells) {
   std::ostringstream out;
   ho::write_attribution_csv(out, cells);
   return out.str();
-}
-
-ho::JsonValue bench_doc(const std::string& benchmarks_body) {
-  return ho::parse_json("{\"schema\": \"hpcs-bench-v1\", \"benchmarks\": {" +
-                        benchmarks_body + "}}");
 }
 
 }  // namespace
@@ -429,54 +424,3 @@ TEST(Report, ExecCommFractionExcludesDeployment) {
   EXPECT_DOUBLE_EQ(ho::exec_comm_fraction(ho::Attribution{}), 0.0);
 }
 
-// --- Bench comparator -------------------------------------------------------
-
-TEST(BenchCompare, FlagsRegressionsBeyondTolerance) {
-  const auto base = bench_doc(
-      "\"fast\": {\"median_s\": 1.0}, \"slow\": {\"median_s\": 2.0}");
-  const auto cur = bench_doc(
-      "\"fast\": {\"median_s\": 1.2}, \"slow\": {\"median_s\": 2.7}");
-  const auto cmp = ho::compare_benchmarks(base, cur, 0.25);
-  ASSERT_EQ(cmp.deltas.size(), 2u);
-  EXPECT_EQ(cmp.deltas[0].name, "fast");
-  EXPECT_FALSE(cmp.deltas[0].regressed);  // 1.2x <= 1.25x
-  EXPECT_EQ(cmp.deltas[1].name, "slow");
-  EXPECT_TRUE(cmp.deltas[1].regressed);  // 1.35x > 1.25x
-  EXPECT_NEAR(cmp.deltas[1].ratio, 1.35, 1e-12);
-  EXPECT_TRUE(cmp.regressed);
-
-  // An injected 2.5x slowdown (smoke_bench_compare_slowdown's fixture)
-  // always gates.
-  const auto doubled = bench_doc("\"fast\": {\"median_s\": 2.5}");
-  EXPECT_TRUE(ho::compare_benchmarks(base, doubled, 0.6).regressed);
-}
-
-TEST(BenchCompare, MissingBenchmarksGateNewOnesDoNot) {
-  const auto base = bench_doc("\"a\": {\"median_s\": 1.0}");
-  const auto cur = bench_doc("\"b\": {\"median_s\": 5.0}");
-  const auto cmp = ho::compare_benchmarks(base, cur, 0.25);
-  ASSERT_EQ(cmp.deltas.size(), 2u);
-  EXPECT_EQ(cmp.deltas[0].name, "a");
-  EXPECT_TRUE(cmp.deltas[0].regressed);
-  EXPECT_EQ(cmp.deltas[0].note, "missing in current");
-  EXPECT_EQ(cmp.deltas[1].name, "b");
-  EXPECT_FALSE(cmp.deltas[1].regressed);
-  EXPECT_EQ(cmp.deltas[1].note, "new benchmark");
-  EXPECT_TRUE(cmp.regressed);
-
-  // Identical files never regress, and the printer names the verdict.
-  const auto same = ho::compare_benchmarks(base, base, 0.25);
-  EXPECT_FALSE(same.regressed);
-  std::ostringstream out;
-  ho::print_bench_comparison(out, same);
-  EXPECT_NE(out.str().find("OK"), std::string::npos);
-}
-
-TEST(BenchCompare, RejectsDocumentsWithoutBenchmarks) {
-  const auto good = bench_doc("\"a\": {\"median_s\": 1.0}");
-  const auto bad = ho::parse_json("{\"schema\": \"hpcs-bench-v1\"}");
-  EXPECT_THROW(ho::compare_benchmarks(bad, good, 0.25),
-               std::invalid_argument);
-  EXPECT_THROW(ho::compare_benchmarks(good, bad, 0.25),
-               std::invalid_argument);
-}

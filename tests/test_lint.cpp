@@ -19,6 +19,7 @@
 
 namespace {
 
+using hpcs::lint::AllowEntry;
 using hpcs::lint::build_include_graph;
 using hpcs::lint::check_include_cycles;
 using hpcs::lint::check_layering;
@@ -143,6 +144,25 @@ TEST(LintRules, Hyg003ExemptsBenchExamplesTests) {
 
 TEST(LintRules, Hyg003AcceptsCallerStreams) {
   expect_findings("src/core/fixture.cpp", "hyg003_good.cpp", {});
+}
+
+TEST(LintRules, Hyg004FlagsTaskPoolConstructionOutsideTheGridRunner) {
+  const std::vector<Expected> each_construction = {
+      {9, "HYG-004"}, {11, "HYG-004"}, {12, "HYG-004"}, {13, "HYG-004"}};
+  expect_findings("src/gateway/fixture.cpp", "hyg004_bad.cpp",
+                  each_construction);
+  expect_findings("bench/fixture.cpp", "hyg004_bad.cpp", each_construction);
+  expect_findings("examples/fixture.cpp", "hyg004_bad.cpp",
+                  each_construction);
+}
+
+TEST(LintRules, Hyg004ExemptsTestsAndTheGridRunner) {
+  expect_findings("tests/fixture.cpp", "hyg004_bad.cpp", {});
+  expect_findings("src/core/grid.cpp", "hyg004_bad.cpp", {});
+}
+
+TEST(LintRules, Hyg004AcceptsReferencesQueriesAndRunCells) {
+  expect_findings("src/sched/fixture.cpp", "hyg004_good.cpp", {});
 }
 
 TEST(LintRules, Det005FlagsUnorderedIterationReachingEmitters) {
@@ -488,6 +508,18 @@ TEST(LintDot, RealTreeDotMatchesGoldenSnapshot) {
       << "module layering changed; if intentional, refresh the snapshot "
          "and docs/architecture.md (cmake --build build --target "
          "update-golden)";
+}
+
+TEST(LintAllowlist, EveryEntryNamesAnExistingFileAndAKnownRule) {
+  // A deleted or renamed file must take its exemption with it.
+  for (const AllowEntry& entry : hpcs::lint::builtin_allowlist()) {
+    const std::string path =
+        std::string(HPCS_LINT_SOURCE_ROOT) + "/" + entry.path;
+    EXPECT_TRUE(std::ifstream(path).good())
+        << entry.rule << " exemption names missing file " << entry.path;
+    EXPECT_TRUE(hpcs::lint::known_rule(entry.rule))
+        << entry.path << " is exempt from unknown rule " << entry.rule;
+  }
 }
 
 TEST(LintTree, RealSourceTreeLintsClean) {

@@ -14,6 +14,14 @@ namespace {
 
 using Combo = std::tuple<hc::RuntimeKind, int>;
 
+// ctest ids of the AllCombos instances carry gtest's raw-byte print of
+// RuntimeKind ("4-byte object <01-00 00-00>"), so pin the values: a
+// reordered enum fails to compile here instead of renaming every id.
+static_assert(static_cast<int>(hc::RuntimeKind::BareMetal) == 0 &&
+              static_cast<int>(hc::RuntimeKind::Docker) == 1 &&
+              static_cast<int>(hc::RuntimeKind::Singularity) == 2 &&
+              static_cast<int>(hc::RuntimeKind::Shifter) == 3);
+
 hpcs::hw::ClusterSpec cluster_of(int idx) {
   switch (idx) {
     case 0:

@@ -18,6 +18,17 @@ namespace {
 
 using Combo = std::tuple<hc::RuntimeKind, hc::BuildMode, int /*cluster*/>;
 
+// ctest ids of the AllCombos instances carry gtest's raw-byte print of
+// RuntimeKind and BuildMode ("4-byte object <01-00 00-00>"), so pin the
+// values: a reordered enum fails to compile here instead of renaming
+// every id.
+static_assert(static_cast<int>(hc::RuntimeKind::BareMetal) == 0 &&
+              static_cast<int>(hc::RuntimeKind::Docker) == 1 &&
+              static_cast<int>(hc::RuntimeKind::Singularity) == 2 &&
+              static_cast<int>(hc::RuntimeKind::Shifter) == 3);
+static_assert(static_cast<int>(hc::BuildMode::SystemSpecific) == 0 &&
+              static_cast<int>(hc::BuildMode::SelfContained) == 1);
+
 hpcs::hw::ClusterSpec cluster_of(int idx) {
   switch (idx) {
     case 0:

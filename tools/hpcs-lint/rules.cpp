@@ -158,6 +158,40 @@ bool std_or_global(const std::string& qual) {
   return qual.empty() || qual == "std" || qual == "::";
 }
 
+/// The identifier ending at \p end, spaces skipped ("" if none).
+std::string word_before(const std::string& code, std::size_t end) {
+  while (end > 0 && code[end - 1] == ' ') --end;
+  std::size_t b = end;
+  while (b > 0 && ident_char(code[b - 1])) --b;
+  return code.substr(b, end - b);
+}
+
+/// HYG-004: does the `TaskPool` mention spanning [begin, end) construct
+/// one?  A declarator (`TaskPool pool(4)`), a temporary (`TaskPool(4)`,
+/// `TaskPool{4}`), `new TaskPool` and `make_unique/make_shared<TaskPool>`
+/// do; `TaskPool::Stats`, `TaskPool&`, `TaskPool*` and a forward
+/// declaration do not.
+bool constructs_task_pool(const std::string& code, std::size_t begin,
+                          std::size_t end) {
+  std::size_t b = begin;  // step left over `ns::` qualifiers
+  for (;;) {
+    while (b > 0 && code[b - 1] == ' ') --b;
+    if (b < 2 || code[b - 1] != ':' || code[b - 2] != ':') break;
+    b -= 2;
+    while (b > 0 && code[b - 1] == ' ') --b;
+    while (b > 0 && ident_char(code[b - 1])) --b;
+  }
+  if (b > 0 && code[b - 1] == '<') {
+    const std::string callee = word_before(code, b - 1);
+    return callee == "make_unique" || callee == "make_shared";
+  }
+  if (word_before(code, b) == "new") return true;
+  std::size_t a = end;
+  while (a < code.size() && code[a] == ' ') ++a;
+  return a < code.size() &&
+         (ident_char(code[a]) || code[a] == '(' || code[a] == '{');
+}
+
 // --- suppressions ----------------------------------------------------------
 
 struct SuppRef {
@@ -238,6 +272,10 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"HYG-003",
        "no std::cout/std::cerr/printf in library code (bench, examples, "
        "tests, tools exempt)"},
+      {"HYG-004",
+       "no study::TaskPool construction outside the grid runner "
+       "(src/core/grid.cpp) and the pool itself; grids fan out through "
+       "run_cells (tests exempt)"},
       {"LNT-901", "inline suppressions must carry a written reason"},
       {"LNT-902", "inline suppressions must name a known rule"},
   };
@@ -264,17 +302,17 @@ const std::vector<AllowEntry>& builtin_allowlist() {
        "the pool may use timed waits; wall time never reaches outputs"},
       {"src/core/thread_pool.cpp", "DET-004",
        "worker identity is the pool's own scheduling diagnostic"},
+      {"src/core/thread_pool.hpp", "HYG-004",
+       "the pool's own definition"},
+      {"src/core/thread_pool.cpp", "HYG-004",
+       "the pool's own definition"},
+      {"src/core/grid.cpp", "HYG-004",
+       "run_cells: the one grid runner, which owns the fan-out behind "
+       "every study's keyed-grid contract"},
       {"src/sim/rng.hpp", "DET-002",
        "the deterministic RNG facility every other module must use"},
       {"src/sim/rng.cpp", "DET-002",
        "the deterministic RNG facility every other module must use"},
-      {"bench/bench_self.cpp", "DET-001",
-       "self-benchmark: measuring host wall-clock of the harness's own "
-       "hot paths is this bench's entire purpose; results go to "
-       "BENCH_self.json, never into figure artifacts"},
-      {"bench/bench_self.cpp", "DET-004",
-       "self-benchmark sizes its TaskPool workload from "
-       "hardware_concurrency and records it as host metadata"},
       {"bench/bench_gateway.cpp", "DET-001",
        "host elapsed-time line printed after the grid completes; wall "
        "clock never reaches the CSV/trace/metrics artifacts"},
@@ -403,6 +441,11 @@ std::vector<Finding> lint_file(const ScannedFile& f) {
           add(ln, "HYG-003",
               "direct console I/O ('" + name + "') in library code");
       }
+      if (cls != FileClass::Test && name == "TaskPool" &&
+          constructs_task_pool(code, pos, pos + name.size()))
+        add(ln, "HYG-004",
+            "TaskPool constructed outside src/core/grid.cpp; fan out "
+            "through study::run_cells");
     });
   }
   if (header && !has_pragma_once)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/stats.hpp"
+
 namespace hpcs::gateway {
 
 void HedgePolicy::validate() const {
@@ -17,16 +19,18 @@ void HedgePolicy::validate() const {
 
 void HedgePlanner::observe(double fetch_s) {
   if (!policy_.enabled) return;
-  samples_.add(fetch_s);
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), fetch_s),
+                 fetch_s);
 }
 
 bool HedgePlanner::ready() const noexcept {
   return policy_.enabled &&
-         samples_.count() >= static_cast<std::size_t>(policy_.min_samples);
+         sorted_.size() >= static_cast<std::size_t>(policy_.min_samples);
 }
 
 double HedgePlanner::delay() const {
-  return std::max(policy_.min_delay_s, samples_.quantile(policy_.quantile));
+  return std::max(policy_.min_delay_s,
+                  sim::sorted_quantile(sorted_, policy_.quantile));
 }
 
 HedgeOutcome resolve_hedge(double primary_s, bool primary_ok,

@@ -12,8 +12,13 @@
 /// hedge fires only on genuine stragglers and the extra upstream load
 /// stays bounded.  Until `min_samples` durations have been observed the
 /// planner refuses to hedge: an empty distribution has no tail.
+///
+/// The gateway asks for the delay before every fetch and feeds the
+/// duration back right after, so the planner keeps its durations sorted:
+/// observe() inserts in place (O(n) move, no sort) and delay() is O(1).
 
-#include "sim/stats.hpp"
+#include <cstddef>
+#include <vector>
 
 namespace hpcs::gateway {
 
@@ -54,16 +59,17 @@ class HedgePlanner {
   /// True when enough samples exist for delay() to be meaningful.
   bool ready() const noexcept;
 
-  /// Current hedge delay: max(min_delay_s, quantile(q)); call only when
+  /// Current hedge delay: max(min_delay_s, quantile(q)), with the same
+  /// interpolation (and bits) as sim::Samples::quantile; call only when
   /// ready().
   double delay() const;
 
   const HedgePolicy& policy() const noexcept { return policy_; }
-  std::size_t observed() const noexcept { return samples_.count(); }
+  std::size_t observed() const noexcept { return sorted_.size(); }
 
  private:
   HedgePolicy policy_{};
-  sim::Samples samples_;
+  std::vector<double> sorted_;  ///< observed durations, ascending
 };
 
 /// Resolves the race between a primary fetch taking \p primary_s seconds

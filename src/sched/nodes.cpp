@@ -12,6 +12,16 @@ NodePool::NodePool(int nodes, int cores_per_node) : cores_(cores_per_node) {
   if (cores_per_node < 1)
     throw std::invalid_argument("NodePool: cores_per_node must be >= 1");
   free_.assign(static_cast<std::size_t>(nodes), cores_per_node);
+  count_ge_.assign(static_cast<std::size_t>(cores_per_node) + 1, nodes);
+}
+
+void NodePool::set_free(std::size_t node, int value) {
+  int& free = free_[node];
+  for (int c = free + 1; c <= value; ++c)
+    ++count_ge_[static_cast<std::size_t>(c)];
+  for (int c = value + 1; c <= free; ++c)
+    --count_ge_[static_cast<std::size_t>(c)];
+  free = value;
 }
 
 std::int64_t NodePool::free_cores() const noexcept {
@@ -39,18 +49,13 @@ void NodePool::check_request(int nodes_wanted, int cores_wanted) const {
 bool NodePool::fits(int nodes_wanted, int cores_wanted,
                     AllocMode mode) const {
   check_request(nodes_wanted, cores_wanted);
-  const int need =
-      mode == AllocMode::Dedicated ? cores_ : cores_wanted;
-  int found = 0;
-  for (const int free : free_) {
-    if (free >= need && ++found == nodes_wanted) return true;
-  }
-  return false;
+  const int gate = mode == AllocMode::Dedicated ? cores_ : cores_wanted;
+  return count_ge_[static_cast<std::size_t>(gate)] >= nodes_wanted;
 }
 
 std::vector<int> NodePool::allocate(int nodes_wanted, int cores_wanted,
                                     AllocMode mode) {
-  check_request(nodes_wanted, cores_wanted);
+  if (!fits(nodes_wanted, cores_wanted, mode)) return {};
   const int need = occupied_per_node(cores_wanted, mode);
   const int gate = mode == AllocMode::Dedicated ? cores_ : cores_wanted;
   std::vector<int> chosen;
@@ -61,8 +66,10 @@ std::vector<int> NodePool::allocate(int nodes_wanted, int cores_wanted,
       if (static_cast<int>(chosen.size()) == nodes_wanted) break;
     }
   }
-  if (static_cast<int>(chosen.size()) < nodes_wanted) return {};
-  for (const int n : chosen) free_[static_cast<std::size_t>(n)] -= need;
+  for (const int n : chosen) {
+    const auto node = static_cast<std::size_t>(n);
+    set_free(node, free_[node] - need);
+  }
   return chosen;
 }
 
@@ -70,12 +77,12 @@ void NodePool::release(const std::vector<int>& nodes, int cores_wanted,
                        AllocMode mode) {
   const int need = occupied_per_node(cores_wanted, mode);
   for (const int n : nodes) {
-    int& free = free_.at(static_cast<std::size_t>(n));
+    const int free = free_cores(n);
     if (free + need > cores_)
       throw std::logic_error(
           "NodePool: release overflows node " + std::to_string(n) +
           " (double release or oversubscription)");
-    free += need;
+    set_free(static_cast<std::size_t>(n), free + need);
   }
 }
 

@@ -11,7 +11,12 @@
 /// arithmetic and throw std::logic_error on any would-be oversubscription
 /// — the first line of the invariant harness, backed by the property
 /// tests in tests/test_sched.cpp.
+///
+/// A histogram of free cores (how many nodes have at least c free) makes
+/// fits() O(1); allocate() and release() keep it current at O(cores per
+/// node) per touched node.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +42,8 @@ class NodePool {
   int occupied_per_node(int cores_wanted, AllocMode mode) const noexcept;
 
   /// True when \p nodes_wanted nodes x \p cores_wanted cores fit now.
+  /// O(1).
+  /// \throws std::invalid_argument for the requests allocate() rejects.
   bool fits(int nodes_wanted, int cores_wanted, AllocMode mode) const;
 
   /// Allocates and returns the chosen node indices in increasing order,
@@ -54,8 +61,13 @@ class NodePool {
 
  private:
   void check_request(int nodes_wanted, int cores_wanted) const;
+  /// Sets one node's free cores and moves it in the histogram; the only
+  /// writer of free_ after construction.
+  void set_free(std::size_t node, int value);
 
   std::vector<int> free_;  ///< free cores per node
+  /// count_ge_[c]: nodes with at least c free cores, c in [0, cores_].
+  std::vector<int> count_ge_;
   int cores_;
 };
 

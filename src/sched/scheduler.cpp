@@ -174,25 +174,33 @@ void BatchScheduler::on_submit(int job) {
 }
 
 void BatchScheduler::schedule_pass() {
+  // Started jobs leave pending_ in one compaction per pass, not one
+  // erase per start.  start_job never touches pending_ (it only
+  // schedules events), so the start order is the same either way.
+  //
   // Drain the head while it fits; under FIFO a blocked head stalls the
   // whole queue (that is the discipline's defining cost).
-  while (!pending_.empty()) {
-    const int head = pending_.front();
+  std::size_t first = 0;
+  for (; first < pending_.size(); ++first) {
+    const int head = pending_[first];
     const JobSpec& spec = records_[static_cast<std::size_t>(head)].spec;
     if (!pool_.fits(spec.nodes, spec.cores_per_node, config_.policy.alloc))
       break;
-    pending_.erase(pending_.begin());
     start_job(head, false);
   }
-  if (pending_.empty() || config_.policy.queue == QueueDiscipline::Fifo)
+  if (first == pending_.size() ||
+      config_.policy.queue == QueueDiscipline::Fifo) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(first));
     return;
+  }
 
   // EASY backfill: the blocked head holds a reservation at the earliest
   // provable fit time; anything behind it may start only when its
   // walltime guarantees it vacates first.  Each started backfill job
   // releases before the reservation, so the bound stays valid without
   // recomputation inside the scan.
-  const int head = pending_.front();
+  const int head = pending_[first];
   if (reservation_job_ != head) {
     if (reservation_job_ >= 0 &&
         records_[static_cast<std::size_t>(reservation_job_)].state ==
@@ -205,64 +213,51 @@ void BatchScheduler::schedule_pass() {
   JobRecord& head_rec = records_[static_cast<std::size_t>(head)];
   if (head_rec.reservation_s < 0.0) head_rec.reservation_s = reservation;
   const double now = engine_.now();
-  for (std::size_t i = 1; i < pending_.size();) {
+  std::size_t kept = 0;
+  pending_[kept++] = head;
+  for (std::size_t i = first + 1; i < pending_.size(); ++i) {
     const int job = pending_[i];
     const JobSpec& spec = records_[static_cast<std::size_t>(job)].spec;
     if (pool_.fits(spec.nodes, spec.cores_per_node,
                    config_.policy.alloc) &&
-        now + spec.walltime_s <= reservation) {
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+        now + spec.walltime_s <= reservation)
       start_job(job, true);
-    } else {
-      ++i;
-    }
+    else
+      pending_[kept++] = job;
   }
+  pending_.resize(kept);
 }
 
 double BatchScheduler::compute_reservation(int job) const {
   const JobSpec& spec = records_[static_cast<std::size_t>(job)].spec;
+  if (pool_.fits(spec.nodes, spec.cores_per_node, config_.policy.alloc))
+    return engine_.now();
   const int gate = config_.policy.alloc == AllocMode::Dedicated
                        ? config_.cores_per_node
                        : spec.cores_per_node;
   std::vector<int> free(static_cast<std::size_t>(pool_.nodes()));
-  for (int n = 0; n < pool_.nodes(); ++n)
+  int fitting = 0;  // nodes with at least `gate` free cores
+  for (int n = 0; n < pool_.nodes(); ++n) {
     free[static_cast<std::size_t>(n)] = pool_.free_cores(n);
-  const auto fits_now = [&] {
-    int found = 0;
-    for (const int f : free)
-      if (f >= gate && ++found == spec.nodes) return true;
-    return false;
-  };
-  if (fits_now()) return engine_.now();
-
-  struct Release {
-    double time = 0.0;
-    int job = -1;
-  };
-  std::vector<Release> releases;
-  for (std::size_t j = 0; j < records_.size(); ++j) {
-    if (!runtime_[j].allocated) continue;
-    // Walltime kills are unconditional, so start + walltime is a sound
-    // upper bound on every active job's release.
-    releases.push_back({records_[j].start_s + records_[j].spec.walltime_s,
-                        static_cast<int>(j)});
+    if (free[static_cast<std::size_t>(n)] >= gate) ++fitting;
   }
-  std::sort(releases.begin(), releases.end(),
-            [](const Release& a, const Release& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.job < b.job;
-            });
-  for (const Release& release : releases) {
+  // Walltime kills are unconditional, so start + walltime is a sound
+  // upper bound on every active job's release; active_ holds exactly
+  // those bounds, ordered by (time, job).
+  for (const auto& [release_s, active_job] : active_) {
     const AllocationInterval& interval =
-        allocations_[runtime_[static_cast<std::size_t>(release.job)]
+        allocations_[runtime_[static_cast<std::size_t>(active_job)]
                          .interval];
-    for (const int n : interval.nodes)
-      free[static_cast<std::size_t>(n)] += interval.cores_per_node;
-    if (fits_now()) return std::max(release.time, engine_.now());
+    for (const int n : interval.nodes) {
+      int& f = free[static_cast<std::size_t>(n)];
+      if (f < gate && f + interval.cores_per_node >= gate) ++fitting;
+      f += interval.cores_per_node;
+    }
+    if (fitting >= spec.nodes) return std::max(release_s, engine_.now());
   }
   // Unreachable: impossible requests are shed at submit, and an empty
   // cluster fits everything else.
-  return releases.empty() ? engine_.now() : releases.back().time;
+  return active_.empty() ? engine_.now() : active_.rbegin()->first;
 }
 
 void BatchScheduler::start_job(int job, bool backfilled) {
@@ -310,7 +305,7 @@ void BatchScheduler::start_job(int job, bool backfilled) {
   interval.nodes = std::move(nodes);
   rt.interval = allocations_.size();
   allocations_.push_back(std::move(interval));
-  rt.allocated = true;
+  active_.emplace(now + rec.spec.walltime_s, job);
   sample_utilization(now);
   rt.walltime_ev = engine_.schedule_at(now + rec.spec.walltime_s,
                                        [this, job] { on_walltime(job); });
@@ -373,6 +368,10 @@ void BatchScheduler::on_deploy_ready(int job, double now) {
 void BatchScheduler::release_job(int job) {
   const double now = engine_.now();
   JobRecord& rec = records_[static_cast<std::size_t>(job)];
+  if (active_.erase({rec.start_s + rec.spec.walltime_s, job}) != 1)
+    throw std::logic_error("BatchScheduler: release of job " +
+                           std::to_string(job) +
+                           " that holds no allocation");
   JobRuntime& rt = runtime_[static_cast<std::size_t>(job)];
   AllocationInterval& interval = allocations_[rt.interval];
   interval.end = now;
@@ -380,7 +379,6 @@ void BatchScheduler::release_job(int job) {
                         interval.cores_per_node * (now - interval.start);
   pool_.release(interval.nodes, rec.spec.cores_per_node,
                 config_.policy.alloc);
-  rt.allocated = false;
   stats_.makespan_s = std::max(stats_.makespan_s, now);
   sample_utilization(now);
 }
@@ -512,15 +510,16 @@ void BatchScheduler::on_walltime(int job) {
 void BatchScheduler::on_burst(const fault::FaultEvent& crash) {
   const double now = engine_.now();
   // One per-node crash from a rack burst: every job holding cores on the
-  // node dies (with node sharing that can be several).
+  // node dies (with node sharing that can be several), in job-id order.
   std::vector<int> victims;
-  for (std::size_t j = 0; j < records_.size(); ++j) {
-    if (!runtime_[j].allocated) continue;
-    const AllocationInterval& interval = allocations_[runtime_[j].interval];
+  for (const auto& [release_s, job] : active_) {
+    const AllocationInterval& interval =
+        allocations_[runtime_[static_cast<std::size_t>(job)].interval];
     if (std::find(interval.nodes.begin(), interval.nodes.end(),
                   crash.node) != interval.nodes.end())
-      victims.push_back(static_cast<int>(j));
+      victims.push_back(job);
   }
+  std::sort(victims.begin(), victims.end());
   for (const int job : victims) {
     JobRecord& rec = records_[static_cast<std::size_t>(job)];
     JobRuntime& rt = runtime_[static_cast<std::size_t>(job)];

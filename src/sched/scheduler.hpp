@@ -30,6 +30,8 @@
 ///   * equal-priority FIFO starts in submit order.
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "fault/hazard.hpp"
@@ -162,7 +164,6 @@ class BatchScheduler {
     sim::EventId end_ev = kNoEvent;  ///< pending completion or crash
     double queued_since = 0.0;       ///< submit or last requeue time
     std::size_t interval = 0;        ///< open AllocationInterval index
-    bool allocated = false;
   };
 
   void on_submit(int job);
@@ -180,7 +181,7 @@ class BatchScheduler {
   /// change (no-op unless temporal telemetry is enabled).
   void sample_utilization(double now);
   /// Earliest future time the blocked head provably fits, simulating
-  /// walltime-bounded releases of every active job.
+  /// walltime-bounded releases of the active jobs in release order.
   double compute_reservation(int job) const;
   bool job_before(int a, int b) const;
   void register_metrics();
@@ -198,6 +199,9 @@ class BatchScheduler {
   std::vector<JobRuntime> runtime_;
   std::vector<AllocationInterval> allocations_;
   std::vector<int> pending_;  ///< queued job ids, priority/submit order
+  /// Allocated jobs as (start + walltime, job): the walltime-bounded
+  /// release order compute_reservation walks.
+  std::set<std::pair<double, int>> active_;
   int reservation_job_ = -1;  ///< head whose reservation is recorded
   int queued_count_ = 0;      ///< pending + requeue-delayed jobs
   SchedStats stats_;

@@ -73,19 +73,23 @@ double Samples::max() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
-double Samples::quantile(double q) const {
-  if (data_.empty()) throw std::logic_error("Samples::quantile on empty set");
+double sorted_quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) throw std::logic_error("quantile on empty set");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile out of [0,1]");
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+double Samples::quantile(double q) const {
   if (!sorted_valid_) {
     sorted_ = data_;
     std::sort(sorted_.begin(), sorted_.end());
     sorted_valid_ = true;
   }
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  return sorted_quantile(sorted_, q);
 }
 
 double Samples::ci95_halfwidth() const noexcept {

@@ -38,10 +38,22 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Quantile \p q in [0,1] of the ascending \p sorted values, by linear
+/// interpolation between order statistics.  Samples::quantile and callers
+/// that keep their own sorted copy share this one formula, so both give
+/// the same bits for the same values.
+/// \throws std::logic_error when \p sorted is empty,
+///         std::invalid_argument for q outside [0,1].
+double sorted_quantile(const std::vector<double>& sorted, double q);
+
 /// Batch sample container with quantiles and confidence intervals.
 ///
-/// Keeps every sample; intended for per-time-step durations (hundreds of
-/// values), not high-frequency event streams.
+/// Keeps every sample.  add() is O(1) and invalidates the sorted cache,
+/// so the first quantile() after any add() copies and sorts all n values:
+/// cheap when queries come after a batch of adds (per-time-step
+/// durations, grid summaries), O(n log n) per query when adds and
+/// queries interleave.  A caller that queries after every add should
+/// keep its own sorted vector and call sorted_quantile().
 class Samples {
  public:
   void add(double x);
@@ -54,8 +66,7 @@ class Samples {
   double min() const;
   double max() const;
 
-  /// Quantile in [0,1] by linear interpolation between order statistics.
-  /// Requires a non-empty sample set.
+  /// sorted_quantile() of the samples.  Requires a non-empty sample set.
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "gateway/service.hpp"
 #include "gateway/workload.hpp"
 #include "sim/rng.hpp"
+#include "sim/stats.hpp"
 
 #include "golden.hpp"
 
@@ -230,6 +232,38 @@ TEST(HedgePlanner, ReadyOnlyAfterMinSamplesAndClampsDelay) {
   for (int i = 0; i < 100; ++i) disabled.observe(1.0);
   EXPECT_FALSE(disabled.ready());
   EXPECT_EQ(disabled.observed(), 0u);
+}
+
+// The planner keeps its own sorted durations; after every observe() its
+// delay must be bit-equal to the quantile a fresh sim::Samples computes
+// from the same values (duplicates and ties included).
+TEST(HedgePlanner, DelayIsBitEqualToSamplesQuantileAfterEveryObserve) {
+  for (const double q : {0.5, 0.9, 0.95}) {
+    hg::HedgePolicy policy;
+    policy.enabled = true;
+    policy.quantile = q;
+    policy.min_samples = 1;
+    policy.min_delay_s = 0.25;
+    hg::HedgePlanner planner(policy);
+    hs::Samples reference;
+    hs::Rng rng(29);
+    for (int i = 0; i < 600; ++i) {
+      // Coarse buckets give many exact ties; every tenth value repeats
+      // the previous one, and some fall below the delay floor.
+      const double x =
+          i % 10 == 9 && reference.count() > 0
+              ? reference.values().back()
+              : std::floor(rng.lognormal_median(1.5, 0.8) * 8.0) / 8.0;
+      planner.observe(x);
+      reference.add(x);
+      hs::Samples fresh;
+      for (const double v : reference.values()) fresh.add(v);
+      ASSERT_EQ(planner.delay(),
+                std::max(policy.min_delay_s, fresh.quantile(q)))
+          << "q=" << q << " after " << i + 1 << " observations";
+    }
+    EXPECT_EQ(planner.observed(), reference.count());
+  }
 }
 
 TEST(HedgeOutcome, ResolveCoversAllRaceOutcomes) {

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -215,6 +217,56 @@ TEST(NodePool, AllocationPrefersLowestIndices) {
   const auto c = pool.allocate(1, 48, hs::AllocMode::Dedicated);
   EXPECT_EQ(b[0], 1);
   EXPECT_EQ(c[0], 0);
+}
+
+// fits() reads a free-core histogram; it must agree with a brute-force scan
+// of free_cores(n) after any allocate/release sequence, and allocate() must
+// succeed exactly when fits() said so.
+TEST(NodePool, FitsMatchesBruteForceScanUnderRandomChurn) {
+  constexpr int kNodes = 8;
+  constexpr int kCores = 6;
+  for (const hs::AllocMode mode :
+       {hs::AllocMode::Dedicated, hs::AllocMode::NodeShare}) {
+    for (const std::uint64_t seed : {1ull, 7ull, 104729ull}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "mode=" << static_cast<int>(mode) << " seed=" << seed);
+      hpcs::sim::Rng rng(seed);
+      hs::NodePool pool(kNodes, kCores);
+      const auto brute_fits = [&](int nodes_wanted, int cores_wanted) {
+        const int gate =
+            mode == hs::AllocMode::Dedicated ? kCores : cores_wanted;
+        int found = 0;
+        for (int n = 0; n < kNodes; ++n)
+          if (pool.free_cores(n) >= gate) ++found;
+        return found >= nodes_wanted;
+      };
+      struct Held {
+        std::vector<int> nodes;
+        int cores = 0;
+      };
+      std::vector<Held> held;
+      for (int step = 0; step < 2000; ++step) {
+        const int nodes_wanted =
+            static_cast<int>(rng.uniform_int(1, kNodes));
+        const int cores_wanted =
+            static_cast<int>(rng.uniform_int(1, kCores));
+        const bool expect = brute_fits(nodes_wanted, cores_wanted);
+        ASSERT_EQ(pool.fits(nodes_wanted, cores_wanted, mode), expect)
+            << "step " << step;
+        if (!held.empty() && rng.uniform() < 0.45) {
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(held.size()) - 1));
+          pool.release(held[pick].nodes, held[pick].cores, mode);
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+          continue;
+        }
+        std::vector<int> nodes =
+            pool.allocate(nodes_wanted, cores_wanted, mode);
+        ASSERT_EQ(!nodes.empty(), expect) << "step " << step;
+        if (!nodes.empty()) held.push_back({std::move(nodes), cores_wanted});
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- policy / workload

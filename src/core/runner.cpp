@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numbers>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,6 +31,38 @@ void RunnerOptions::validate() const {
   if (timeseries_window_s < 0 || !std::isfinite(timeseries_window_s))
     throw std::invalid_argument(
         "RunnerOptions: timeseries_window_s must be >= 0");
+}
+
+double bsp_step_jitter(const sim::Rng& rng, int ranks, int step,
+                       double sigma) {
+  if (ranks <= 0) return 0.0;
+  double max_z = -std::numeric_limits<double>::infinity();
+  // Smallest u1 whose Box-Muller radius cannot exceed max_z; 2.0 (no u1
+  // reaches it) until max_z > 0.
+  double skip_at = 2.0;
+  for (int r = 0; r < ranks; ++r) {
+    const std::uint64_t stream =
+        static_cast<std::uint64_t>(r) * std::uint64_t{1000003} +
+        static_cast<std::uint64_t>(step);
+    sim::Rng rrng = rng.child(stream);
+    // The draws of sim::Rng::normal(), with the radius test first.  A u1
+    // above 1e-300 is the one normal() keeps; testing before the rejection
+    // loop leaves every use of the rest of the stream on the rare path,
+    // so the compiler does the rest of the seeding there too.
+    double u1 = rrng.uniform();
+    if (u1 >= skip_at && u1 > 1e-300) continue;
+    while (u1 <= 1e-300) u1 = rrng.uniform();
+    const double u2 = rrng.uniform();
+    const double z = std::sqrt(-2.0 * std::log(u1)) *
+                     std::cos(2.0 * std::numbers::pi * u2);
+    if (z > max_z) {
+      max_z = z;
+      if (max_z > 0.0)
+        skip_at = std::exp(-0.5 * max_z * max_z) * (1.0 + 1e-9);
+    }
+  }
+  // lognormal_median(1.0, sigma) is 1.0 * exp(sigma * z); 1.0 * x == x.
+  return std::exp(sigma * max_z);
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -182,18 +215,14 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
   const double red_per_iter =
       static_cast<double>(work.reductions_per_iteration) * t_allreduce;
 
+  // Start of the current step on the run's timebase, carried forward in
+  // the order the steps are added, so each start is the same sum as
+  // dep_offset + every earlier step.
+  double step_clock = dep_offset;
   for (int s = 0; s < scenario.time_steps; ++s) {
     // Bulk-synchronous: the step advances at the pace of the slowest rank.
-    double max_jitter = 0.0;
-    for (int r = 0; r < scenario.ranks; ++r) {
-      const std::uint64_t stream =
-          static_cast<std::uint64_t>(r) * std::uint64_t{1000003} +
-          static_cast<std::uint64_t>(s);
-      auto rrng = rng.child(stream);
-      max_jitter =
-          std::max(max_jitter,
-                   rrng.lognormal_median(1.0, options_.noise_sigma));
-    }
+    const double max_jitter =
+        bsp_step_jitter(rng, scenario.ranks, s, options_.noise_sigma);
     const double compute =
         (t_assembly + iters * t_iteration) * max_jitter;
     const double halo =
@@ -205,8 +234,7 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
     if (col.enabled()) {
       // Phase order within a step: compute, halo, reductions, interface;
       // steps are laid out back-to-back after the deployment offset.
-      double t0 = dep_offset;
-      for (double prev : result.step_times.values()) t0 += prev;
+      double t0 = step_clock;
       const double step_start = t0;
       const double cpl = work.coupling_iterations;
       obs::SpanScope step_scope(col, 0, "step", "runner", t0);
@@ -237,6 +265,7 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
         col.observe("runner/phase/interface_s", t_interface * cpl);
     }
     result.step_times.add(step);
+    step_clock += step;
     result.compute_time += work.coupling_iterations * compute;
     result.halo_time += work.coupling_iterations * halo;
     result.reduction_time += work.coupling_iterations * reductions;

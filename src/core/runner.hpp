@@ -28,6 +28,7 @@
 #include "fault/spec.hpp"
 #include "hw/compute.hpp"
 #include "obs/collector.hpp"
+#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
@@ -100,6 +101,27 @@ struct RunResult {
   /// RunnerOptions::timeseries_window_s > 0.
   obs::TimeSeries timeseries;
 };
+
+/// Straggler jitter of bulk-synchronous step \p step: the max over
+/// \p ranks ranks of `lognormal_median(1.0, sigma)`, rank r drawing from
+/// `rng.child(r * 1000003 + step)`.  Returns 0 when \p ranks is 0.
+/// Requires sigma >= 0 (RunnerOptions::validate bounds it to [0, 0.5]).
+///
+/// Bit-equal to drawing every rank's lognormal and taking the max, but a
+/// rank that cannot win costs only its child stream and one uniform draw:
+///  - exp is monotone and sigma >= 0, so max_r exp(sigma z_r) =
+///    exp(sigma max_r z_r); only the max z is exponentiated, once per step.
+///  - Box-Muller gives z = sqrt(-2 ln u1) cos(2 pi u2) <= sqrt(-2 ln u1).
+///    Once max z = m > 0, a rank whose first draw has
+///    u1 >= exp(-m^2 / 2) (1 + 1e-9) has sqrt(-2 ln u1) < m, so its z
+///    cannot exceed m; its log, sqrt, cos and second draw are skipped.
+///    The 1e-9 margin dwarfs the few-ulp error of log, sqrt and exp, so a
+///    skipped rank is never one whose computed z would be larger.
+///  - Every rank has its own child stream, so a skip shifts no other
+///    rank's draws.  Ranks that are not skipped compute z with exactly
+///    the expression of sim::Rng::normal().
+double bsp_step_jitter(const sim::Rng& rng, int ranks, int step,
+                       double sigma);
 
 class ExperimentRunner {
  public:

@@ -1,5 +1,7 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 
@@ -9,23 +11,44 @@ namespace hpcs::obs {
 
 namespace {
 
-/// Timestamps/durations in microseconds, fixed 3 fractional digits
-/// (nanosecond resolution) — byte-stable and ample for simulated phases.
-std::string usec(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
+/// Appends \p seconds as microseconds with fixed 3 fractional digits
+/// (nanosecond resolution): byte-stable and ample for simulated phases.
+/// std::to_chars in fixed form with a precision prints what printf's
+/// "%.3f" prints, without a format string or the locale.
+void append_usec(std::string& out, double seconds) {
+  // Room for the widest double in fixed form: 309 integer digits, the
+  // sign, the point and 3 decimals.
+  char buf[320];
+  const auto res = std::to_chars(buf, buf + sizeof buf, seconds * 1e6,
+                                 std::chars_format::fixed, 3);
+  out.append(buf, res.ptr);
 }
 
-void write_args(std::ostream& out, const EventArgs& args) {
-  if (args.empty()) return;
-  out << ",\"args\":{";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i) out << ',';
-    out << '"' << json_escape(args[i].first) << "\":\""
-        << json_escape(args[i].second) << '"';
+/// Appends json_escape(\p s) without building it when nothing needs
+/// escaping, the common case.
+void append_escaped(std::string& out, const std::string& s) {
+  const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  if (plain) {
+    out += s;
+  } else {
+    out += json_escape(s);
   }
-  out << '}';
+}
+
+void append_args(std::string& out, const EventArgs& args) {
+  if (args.empty()) return;
+  out += ",\"args\":{";
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (i) out += ',';
+    out += '"';
+    append_escaped(out, args[i].first);
+    out += "\":\"";
+    append_escaped(out, args[i].second);
+    out += '"';
+  }
+  out += '}';
 }
 
 }  // namespace
@@ -81,25 +104,54 @@ void ChromeTraceWriter::process_name(int pid, const std::string& name) {
 
 void ChromeTraceWriter::add(const TraceData& data, int pid,
                             double time_offset_s) {
-  TraceData sorted = data;
-  sorted.canonicalize();
-  for (const auto& s : sorted.spans) {
-    comma();
-    out_ << "{\"name\":\"" << json_escape(s.name) << "\",\"cat\":\""
-         << json_escape(s.category) << "\",\"ph\":\"X\",\"pid\":" << pid
-         << ",\"tid\":" << s.track << ",\"ts\":"
-         << usec(s.start + time_offset_s) << ",\"dur\":" << usec(s.duration);
-    write_args(out_, s.args);
-    out_ << '}';
+  // Traces from MemorySink::take() are canonical and are written in
+  // place; any other order is written from a canonicalized copy.
+  if (!std::is_sorted(data.spans.begin(), data.spans.end(), span_before) ||
+      !std::is_sorted(data.instants.begin(), data.instants.end(),
+                      instant_before)) {
+    TraceData sorted = data;
+    sorted.canonicalize();
+    add(sorted, pid, time_offset_s);
+    return;
   }
-  for (const auto& i : sorted.instants) {
-    comma();
-    out_ << "{\"name\":\"" << json_escape(i.name) << "\",\"cat\":\""
-         << json_escape(i.category) << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":"
-         << pid << ",\"tid\":" << i.track
-         << ",\"ts\":" << usec(i.time + time_offset_s);
-    write_args(out_, i.args);
-    out_ << '}';
+  // Each event is formatted into one reused buffer and written at once.
+  std::string line;
+  const auto begin_event = [&](const std::string& name,
+                               const std::string& category) {
+    line.clear();
+    if (!first_) line += ",\n";
+    first_ = false;
+    line += "{\"name\":\"";
+    append_escaped(line, name);
+    line += "\",\"cat\":\"";
+    append_escaped(line, category);
+  };
+  const auto end_event = [&](const EventArgs& args) {
+    append_args(line, args);
+    line += '}';
+    out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+  };
+  for (const SpanEvent& s : data.spans) {
+    begin_event(s.name, s.category);
+    line += "\",\"ph\":\"X\",\"pid\":";
+    line += std::to_string(pid);
+    line += ",\"tid\":";
+    line += std::to_string(s.track);
+    line += ",\"ts\":";
+    append_usec(line, s.start + time_offset_s);
+    line += ",\"dur\":";
+    append_usec(line, s.duration);
+    end_event(s.args);
+  }
+  for (const InstantEvent& i : data.instants) {
+    begin_event(i.name, i.category);
+    line += "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":";
+    line += std::to_string(pid);
+    line += ",\"tid\":";
+    line += std::to_string(i.track);
+    line += ",\"ts\":";
+    append_usec(line, i.time + time_offset_s);
+    end_event(i.args);
   }
 }
 

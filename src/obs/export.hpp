@@ -36,6 +36,10 @@ class ChromeTraceWriter {
 
   /// Emits \p data's events under \p pid.  \p time_offset_s shifts every
   /// timestamp (used to lay independent timebases end-to-end).
+  ///
+  /// Cost: one is_sorted pass per event set, then one formatted write per
+  /// event.  A canonical \p data (what MemorySink::take() returns) is
+  /// never copied; any other is copied and canonicalized first.
   void add(const TraceData& data, int pid, double time_offset_s = 0.0);
 
   /// Closes the JSON document; further calls are invalid.  Idempotent.

@@ -5,13 +5,6 @@
 
 namespace hpcs::sim {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t hash64(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
   for (char c : s) {
@@ -19,34 +12,6 @@ std::uint64_t hash64(std::string_view s) noexcept {
     h *= 0x100000001b3ull;  // FNV prime
   }
   return h;
-}
-
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
-Rng::Rng(std::uint64_t seed) noexcept : seed_(seed) {
-  std::uint64_t s = seed;
-  for (auto& w : state_) w = splitmix64(s);
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0,1) with full mantissa resolution.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -85,12 +50,6 @@ double Rng::lognormal_median(double median, double sigma) noexcept {
 Rng Rng::child(std::string_view stream_name) const noexcept {
   std::uint64_t s = seed_ ^ hash64(stream_name);
   // One extra mix so that child("a").child("b") != child("b").child("a").
-  splitmix64(s);
-  return Rng(s);
-}
-
-Rng Rng::child(std::uint64_t index) const noexcept {
-  std::uint64_t s = seed_ ^ (0xd1342543de82ef95ull * (index + 1));
   splitmix64(s);
   return Rng(s);
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -402,6 +403,154 @@ TEST(ObsCampaign, TraceJsonEscapesHostileNames) {
   EXPECT_EQ(names["na\"me\\with\njunk"], 1);
   EXPECT_EQ(names["instant\r\"x\""], 1);
   EXPECT_EQ(names["proc \"0\"\\cell"], 1);
+}
+
+namespace {
+
+/// A plain Chrome-trace writer: canonicalize a copy of the trace, format
+/// times with snprintf("%.3f") and escape every name.  ChromeTraceWriter
+/// must produce exactly these bytes.
+class ReferenceChromeTrace {
+ public:
+  ReferenceChromeTrace() { out_ << "{\"traceEvents\":[\n"; }
+
+  void process_name(int pid, const std::string& name) {
+    comma();
+    out_ << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+         << ",\"tid\":0,\"args\":{\"name\":\"" << ho::json_escape(name)
+         << "\"}}";
+  }
+
+  void add(const ho::TraceData& data, int pid, double time_offset_s) {
+    ho::TraceData sorted = data;
+    sorted.canonicalize();
+    for (const auto& s : sorted.spans) {
+      comma();
+      out_ << "{\"name\":\"" << ho::json_escape(s.name) << "\",\"cat\":\""
+           << ho::json_escape(s.category) << "\",\"ph\":\"X\",\"pid\":"
+           << pid << ",\"tid\":" << s.track
+           << ",\"ts\":" << usec(s.start + time_offset_s)
+           << ",\"dur\":" << usec(s.duration);
+      args(s.args);
+      out_ << '}';
+    }
+    for (const auto& i : sorted.instants) {
+      comma();
+      out_ << "{\"name\":\"" << ho::json_escape(i.name) << "\",\"cat\":\""
+           << ho::json_escape(i.category)
+           << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid
+           << ",\"tid\":" << i.track
+           << ",\"ts\":" << usec(i.time + time_offset_s);
+      args(i.args);
+      out_ << '}';
+    }
+  }
+
+  std::string finish() {
+    out_ << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":"
+            "{\"generator\":\"hpcs::obs\",\"timebase\":\"simulated\"}}\n";
+    return out_.str();
+  }
+
+ private:
+  static std::string usec(double seconds) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
+    return buf;
+  }
+
+  void args(const ho::EventArgs& a) {
+    if (a.empty()) return;
+    out_ << ",\"args\":{";
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (k) out_ << ',';
+      out_ << '"' << ho::json_escape(a[k].first) << "\":\""
+           << ho::json_escape(a[k].second) << '"';
+    }
+    out_ << '}';
+  }
+
+  void comma() {
+    if (!first_) out_ << ",\n";
+    first_ = false;
+  }
+
+  std::ostringstream out_;
+  bool first_ = true;
+};
+
+ho::SpanEvent span(std::string name, int track, double start,
+                   double duration, std::uint64_t id) {
+  ho::SpanEvent s;
+  s.name = std::move(name);
+  s.category = "phase";
+  s.track = track;
+  s.start = start;
+  s.duration = duration;
+  s.id = id;
+  return s;
+}
+
+ho::InstantEvent instant(std::string name, int track, double time) {
+  ho::InstantEvent i;
+  i.name = std::move(name);
+  i.category = "fault";
+  i.track = track;
+  i.time = time;
+  return i;
+}
+
+}  // namespace
+
+TEST(ChromeTrace, BytesMatchSnprintfReference) {
+  ho::TraceData unsorted;
+  // Out of canonical order across tracks, starts and durations.
+  unsorted.spans.push_back(span("late", 1, 2.5, 0.25, 4));
+  unsorted.spans.push_back(span("early", 1, 0.5, 1.0, 3));
+  unsorted.spans.push_back(span("track0", 0, 9.0, 1.0, 5));
+  // Equal sort keys (track, start, duration, id): input order must hold.
+  unsorted.spans.push_back(span("tie-first", 2, 1.0, 1.0, 7));
+  unsorted.spans.push_back(span("tie-second", 2, 1.0, 1.0, 7));
+  unsorted.spans.push_back(span("tie-third", 2, 1.0, 1.0, 7));
+  // Signed zero, tiny, subnormal and huge times.
+  unsorted.spans.push_back(span("neg-zero", 3, -0.0, -0.0, 8));
+  unsorted.spans.push_back(span("tiny", 3, 1e-12, 4.9e-324, 9));
+  unsorted.spans.push_back(span("rounds", 3, 1.0000005e-6, 2.5e-9, 10));
+  unsorted.spans.push_back(span("huge", 3, 3.0e9, 1.5e40, 11));
+  unsorted.spans.push_back(span("negative", 3, -2.0, 0.125, 12));
+  // Names that need escaping, with arguments that do too.
+  auto hostile = span("q\"uo\\te\n\x01\x1f", 0, 0.0, 3.0, 1);
+  hostile.category = "cat\tegory\r";
+  hostile.args = {{"key\"", "va\\lue\b"}, {"plain", "text"}};
+  unsorted.spans.push_back(hostile);
+  unsorted.instants.push_back(instant("crash", 1, 0.75));
+  unsorted.instants.push_back(instant("b-same-time", 0, 0.5));
+  unsorted.instants.push_back(instant("a-same-time", 0, 0.5));
+  auto marked = instant("retry\x02", 0, -0.0);
+  marked.args = {{"attempt", "2"}};
+  unsorted.instants.push_back(marked);
+
+  // The same events already in canonical order, as MemorySink::take()
+  // returns them.
+  ho::TraceData canonical = unsorted;
+  canonical.canonicalize();
+
+  std::ostringstream out;
+  ho::ChromeTraceWriter writer(out);
+  writer.process_name(0, "cell \"0\"\\x");
+  writer.add(unsorted, 0, 0.0);
+  writer.process_name(7, "offset");
+  writer.add(canonical, 7, 123.456789);
+  writer.add(ho::TraceData{}, 8, 1.0);
+  writer.finish();
+
+  ReferenceChromeTrace reference;
+  reference.process_name(0, "cell \"0\"\\x");
+  reference.add(unsorted, 0, 0.0);
+  reference.process_name(7, "offset");
+  reference.add(canonical, 7, 123.456789);
+  reference.add(ho::TraceData{}, 8, 1.0);
+  EXPECT_EQ(out.str(), reference.finish());
 }
 
 TEST(ObsCampaign, HostMetricsCarryPoolDiagnostics) {

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/images.hpp"
 #include "core/runner.hpp"
 #include "hw/presets.hpp"
+#include "sim/rng.hpp"
 
 namespace hs = hpcs::study;
 namespace hc = hpcs::container;
@@ -30,7 +34,44 @@ hs::Scenario base_scenario(const hpcs::hw::ClusterSpec& cluster,
   return s;
 }
 
+/// Reference straggler jitter: every rank draws its lognormal, and the
+/// step takes the max.
+double per_rank_lognormal_max(const hpcs::sim::Rng& rng, int ranks, int step,
+                              double sigma) {
+  double max_jitter = 0.0;
+  for (int r = 0; r < ranks; ++r) {
+    const std::uint64_t stream =
+        static_cast<std::uint64_t>(r) * std::uint64_t{1000003} +
+        static_cast<std::uint64_t>(step);
+    auto rrng = rng.child(stream);
+    max_jitter = std::max(max_jitter, rrng.lognormal_median(1.0, sigma));
+  }
+  return max_jitter;
+}
+
 }  // namespace
+
+TEST(Runner, StepJitterIsBitEqualToPerRankLognormalMax) {
+  // bsp_step_jitter skips ranks whose Box-Muller radius cannot beat the
+  // running max; the result must still be the exact max, bit for bit.
+  for (const std::uint64_t seed : {1ull, 7ull, 104729ull}) {
+    const hpcs::sim::Rng rng(seed);
+    for (const int ranks : {0, 1, 2, 3, 48, 12288}) {
+      // Small rank counts are cheap and have few ranks to prune, so they
+      // get many steps; 12288 (fig3's 256 x 48) gets a few.
+      const int n_steps = ranks >= 1000 ? 3 : 64;
+      for (int step = 0; step < 7 * n_steps; step += 7) {
+        for (const double sigma : {0.0, 0.008, 0.05, 0.5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " ranks " << ranks << " step "
+                       << step << " sigma " << sigma);
+          ASSERT_EQ(hs::bsp_step_jitter(rng, ranks, step, sigma),
+                    per_rank_lognormal_max(rng, ranks, step, sigma));
+        }
+      }
+    }
+  }
+}
 
 TEST(Runner, DeterministicForSameSeed) {
   const hs::ExperimentRunner runner;

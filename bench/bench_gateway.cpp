@@ -11,16 +11,12 @@
 // Every cell runs under a name-derived seed, so the CSV (p50/p95/p99 of
 // start latency per cell) is byte-identical for any --jobs count;
 // GatewayStudy.* and the smoke_bench_gateway ctest diff exactly that.
-// The only wall-clock use here is the elapsed-time line printed at the
-// end (lint-allowlisted; it never reaches an artifact).
+// The shared flags, artifacts and elapsed-time line are grid_cli.hpp's.
 
-#include <chrono>
-#include <cstdint>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "core/cli.hpp"
+#include "grid_cli.hpp"
 #include "gateway/study.hpp"
 #include "sim/table.hpp"
 
@@ -29,124 +25,54 @@ namespace hc = hpcs::container;
 namespace cli = hpcs::study;
 using hpcs::sim::TextTable;
 
-namespace {
-
-int usage(std::ostream& out, int code) {
-  out << "usage: bench_gateway [options]\n"
-         "  --jobs N             TaskPool workers for the grid (default 1)\n"
-         "  --csv PATH           tail-latency CSV (default results/"
-         "gateway_tail_latency.csv)\n"
-         "  --trace-out PATH     Chrome trace of every cell (enables "
-         "observability)\n"
-         "  --metrics-out PATH   merged metrics JSON (enables "
-         "observability)\n"
-         "  --timeseries-out PATH windowed time-series CSV (enables "
-         "observability + temporal telemetry)\n"
-         "  --timeseries-json PATH aggregate hpcs-timeseries-v1 JSON "
-         "(hpcs-report --timeseries/--slo input)\n"
-         "  --window S           time-series window width in simulated "
-         "seconds (default 60)\n"
-         "  --loads A,B,...      offered-load multipliers (default "
-         "0.5,1,2,4)\n"
-         "  --churns A,B,...     catalog/shared-cache byte ratios (default "
-         "0.5,2,8)\n"
-         "  --faults A,B,...     fault presets (default none,moderate)\n"
-         "  --runtimes A,B,...   runtimes (default "
-         "docker,singularity,shifter)\n"
-         "  --rate HZ            base arrival rate (default 2)\n"
-         "  --tenants N          distinct tenants (default 1000)\n"
-         "  --horizon S          arrival horizon seconds (default 3600)\n"
-         "  --workers N          conversion workers (default 8)\n"
-         "  --seed N             grid seed (default 42)\n";
-  return code;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   hg::GatewayGridSpec spec;
-  int jobs = 1;
-  std::string csv_path = "results/gateway_tail_latency.csv";
-  std::string trace_path;
-  std::string metrics_path;
-  std::string timeseries_path;
-  std::string timeseries_json_path;
-  double window_s = 60.0;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= argc)
-          throw std::invalid_argument(flag + ": missing value");
-        return argv[++i];
-      };
-      if (flag == "--help" || flag == "-h") {
-        return usage(std::cout, 0);
-      } else if (flag == "--jobs") {
-        jobs = cli::parse_int(flag, value());
-        if (jobs < 1) throw std::invalid_argument("--jobs: must be >= 1");
-      } else if (flag == "--csv") {
-        csv_path = value();
-        if (csv_path.empty()) throw std::invalid_argument("--csv: empty path");
-      } else if (flag == "--trace-out") {
-        trace_path = value();
-      } else if (flag == "--metrics-out") {
-        metrics_path = value();
-      } else if (flag == "--timeseries-out") {
-        timeseries_path = value();
-      } else if (flag == "--timeseries-json") {
-        timeseries_json_path = value();
-      } else if (flag == "--window") {
-        window_s = cli::parse_double(flag, value());
-        if (window_s <= 0)
-          throw std::invalid_argument("--window: must be > 0");
-      } else if (flag == "--loads") {
-        spec.loads = cli::parse_double_list(flag, value());
-      } else if (flag == "--churns") {
-        spec.churns = cli::parse_double_list(flag, value());
-      } else if (flag == "--faults") {
-        spec.faults = cli::split_list(value());
-      } else if (flag == "--runtimes") {
-        spec.runtimes.clear();
-        for (const std::string& name : cli::split_list(value()))
-          spec.runtimes.push_back(hc::runtime_from_string(name));
-      } else if (flag == "--rate") {
-        spec.workload.base_rate_hz = cli::parse_double(flag, value());
-      } else if (flag == "--tenants") {
-        spec.workload.tenants = cli::parse_int(flag, value());
-      } else if (flag == "--horizon") {
-        spec.workload.horizon_s = cli::parse_double(flag, value());
-      } else if (flag == "--workers") {
-        spec.config.workers = cli::parse_int(flag, value());
-      } else if (flag == "--seed") {
-        spec.seed = cli::parse_u64(flag, value());
-      } else {
-        throw std::invalid_argument("unknown flag '" + flag + "'");
-      }
+  hpcs::bench::GridCli command(
+      spec,
+      {.program = "bench_gateway",
+       .csv_what = "tail-latency CSV",
+       .csv_default = "results/gateway_tail_latency.csv",
+       .axis_help =
+           "  --loads A,B,...      offered-load multipliers (default "
+           "0.5,1,2,4)\n"
+           "  --churns A,B,...     catalog/shared-cache byte ratios (default "
+           "0.5,2,8)\n"
+           "  --faults A,B,...     fault presets (default none,moderate)\n"
+           "  --runtimes A,B,...   runtimes (default "
+           "docker,singularity,shifter)\n"
+           "  --rate HZ            base arrival rate (default 2)\n"
+           "  --tenants N          distinct tenants (default 1000)\n"
+           "  --horizon S          arrival horizon seconds (default 3600)\n"
+           "  --workers N          conversion workers (default 8)\n"});
+  const auto axis = [&](const std::string& flag, const auto& value) {
+    if (flag == "--loads") {
+      spec.loads = cli::parse_double_list(flag, value());
+    } else if (flag == "--churns") {
+      spec.churns = cli::parse_double_list(flag, value());
+    } else if (flag == "--faults") {
+      spec.faults = cli::split_list(value());
+    } else if (flag == "--runtimes") {
+      spec.runtimes.clear();
+      for (const std::string& name : cli::split_list(value()))
+        spec.runtimes.push_back(hc::runtime_from_string(name));
+    } else if (flag == "--rate") {
+      spec.workload.base_rate_hz = cli::parse_double(flag, value());
+    } else if (flag == "--tenants") {
+      spec.workload.tenants = cli::parse_int(flag, value());
+    } else if (flag == "--horizon") {
+      spec.workload.horizon_s = cli::parse_double(flag, value());
+    } else if (flag == "--workers") {
+      spec.config.workers = cli::parse_int(flag, value());
+    } else {
+      return false;
     }
-    if (!timeseries_path.empty() || !timeseries_json_path.empty())
-      spec.timeseries_window_s = window_s;
-    spec.validate();
-    cli::probe_output_paths({{"--csv", csv_path},
-                             {"--trace-out", trace_path},
-                             {"--metrics-out", metrics_path},
-                             {"--timeseries-out", timeseries_path},
-                             {"--timeseries-json", timeseries_json_path}});
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+    return true;
+  };
+  if (const auto code = command.parse(argc, argv, axis)) return *code;
 
-  const bool observe = !trace_path.empty() || !metrics_path.empty() ||
-                       !timeseries_path.empty() ||
-                       !timeseries_json_path.empty();
-  const auto wall_start = std::chrono::steady_clock::now();
-  const hg::GatewayGridResult grid =
-      hg::run_gateway_grid(spec, jobs, observe);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const hg::GatewayGridResult grid = command.run([&](int jobs, bool observe) {
+    return hg::run_gateway_grid(spec, jobs, observe);
+  });
 
   TextTable t({"cell", "arrivals", "served", "shed", "hit%", "p50 [s]",
                "p95 [s]", "p99 [s]"});
@@ -172,19 +98,5 @@ int main(int argc, char** argv) {
                "faults ==\n";
   t.print(std::cout);
 
-  if (!cli::save_outputs(
-          {{csv_path, [&](std::ostream& o) { grid.write_csv(o); }},
-           {trace_path, [&](std::ostream& o) { grid.write_chrome_trace(o); }},
-           {metrics_path,
-            [&](std::ostream& o) { grid.aggregate_metrics().write_json(o); }},
-           {timeseries_path,
-            [&](std::ostream& o) { grid.write_timeseries_csv(o); }},
-           {timeseries_json_path, [&](std::ostream& o) {
-              grid.aggregate_timeseries().write_json(o);
-            }}},
-          std::cout, std::cerr))
-    return 2;
-  std::cout << grid.cells.size() << " cells, " << jobs << " jobs, wall "
-            << TextTable::num(wall_s, 3) << " s\n";
-  return 0;
+  return command.save(grid) ? 0 : 2;
 }

@@ -317,9 +317,10 @@ void validate_output_paths(const CliOptions& o) {
 
 RunnerOptions to_runner_options(const CliOptions& o) {
   RunnerOptions ro;
-  ro.record_timeline = o.timeline;
+  // A single run's --timeline totals are summed from the trace's phase
+  // spans; a campaign never prints them, so there it observes nothing.
   ro.observe = !o.trace_path.empty() || !o.metrics_path.empty() ||
-               !o.timeseries_path.empty();
+               !o.timeseries_path.empty() || (o.timeline && !o.campaign);
   if (!o.timeseries_path.empty()) ro.timeseries_window_s = o.window_s;
   if (o.checkpoint_interval >= 0)
     ro.checkpoint.interval_s = o.checkpoint_interval;

@@ -111,8 +111,9 @@ Scenario to_scenario(const CliOptions& options);
 /// \throws std::invalid_argument for unknown names or empty lists.
 CampaignSpec to_campaign_spec(const CliOptions& options);
 
-/// Runner options implied by the CLI flags (timeline, checkpoint policy,
-/// and — in single-scenario mode — the one --faults preset).
+/// Runner options implied by the CLI flags (observation, checkpoint
+/// policy, and — in single-scenario mode — --timeline and the one
+/// --faults preset).
 /// \throws std::invalid_argument for unknown preset names, or a multi-entry
 ///         --faults list without --campaign.
 RunnerOptions to_runner_options(const CliOptions& options);

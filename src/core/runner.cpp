@@ -14,7 +14,6 @@
 #include "fault/schedule.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/cost_model.hpp"
-#include "obs/export.hpp"
 #include "sim/csv.hpp"
 #include "sim/rng.hpp"
 
@@ -169,10 +168,10 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
 
   // Observability: one collector per run, feeding a private in-memory
   // sink.  Every recorded time is simulated, so the trace is a pure
-  // function of the scenario and seed.  Also drives the legacy timeline.
-  const bool collect = options_.observe || options_.record_timeline;
-  const auto obs_sink = collect ? std::make_shared<obs::MemorySink>()
-                                : std::shared_ptr<obs::MemorySink>{};
+  // function of the scenario and seed.
+  const auto obs_sink = options_.observe
+                            ? std::make_shared<obs::MemorySink>()
+                            : std::shared_ptr<obs::MemorySink>{};
   obs::Collector col(obs_sink);
   if (options_.timeseries_window_s > 0)
     col.enable_timeseries(options_.timeseries_window_s);
@@ -440,14 +439,8 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
 
     run_scope.close(col.cursor(0));
     result.trace = obs_sink->take();
-    if (options_.record_timeline)
-      result.timeline = obs::to_timeline(result.trace, dep_offset);
-    if (options_.observe) {
-      result.metrics = col.metrics();
-      if (col.timeseries_enabled()) result.timeseries = col.timeseries();
-    } else {
-      result.trace = obs::TraceData{};  // timeline-only request
-    }
+    result.metrics = col.metrics();
+    if (col.timeseries_enabled()) result.timeseries = col.timeseries();
   }
   return result;
 }

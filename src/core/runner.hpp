@@ -30,7 +30,6 @@
 #include "obs/collector.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace hpcs::study {
 
@@ -38,8 +37,6 @@ struct RunnerOptions {
   hw::ComputeParams compute{};
   /// Sigma of the per-rank lognormal noise on compute kernels.
   double noise_sigma = 0.008;
-  /// Record a per-step phase timeline (Paraver-lite) into the result.
-  bool record_timeline = false;
   /// Collect spans and metrics into RunResult::trace / ::metrics.  The
   /// trace covers deployment (tracks 1+n per node), the per-step phase
   /// breakdown, and injected fault events, all in simulated time on one
@@ -90,8 +87,6 @@ struct RunResult {
   /// configured fault model.  With faults disabled: all zero except
   /// ideal/effective, which both equal total_time.
   fault::ResilienceReport resilience;
-  /// Per-step phase timeline; empty unless RunnerOptions::record_timeline.
-  sim::Timeline timeline;
   /// Full span/instant trace; empty unless RunnerOptions::observe.
   obs::TraceData trace;
   /// Metrics registry (counters/gauges/histograms); empty unless

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
 namespace hpcs::fault {
 
@@ -129,39 +127,6 @@ ResilienceReport replay_with_recovery(
 
   report.effective_time_s = wall;
   return report;
-}
-
-ResilienceReport replay_with_recovery(
-    double ideal_work_s, const CheckpointPolicy& checkpoint,
-    double checkpoint_cost_s, double recovery_cost_s,
-    const std::function<double(int)>& next_crash_time, int max_crashes,
-    const ReplayEventFn& on_event) {
-  return replay_with_recovery(
-      ideal_work_s, checkpoint,
-      [checkpoint_cost_s](double) { return checkpoint_cost_s; },
-      recovery_cost_s, next_crash_time, max_crashes, on_event);
-}
-
-ResilienceReport replay_with_recovery(
-    double ideal_work_s, const CheckpointPolicy& checkpoint,
-    double checkpoint_cost_s, double recovery_cost_s, CrashProcess process,
-    int max_crashes, const ReplayEventFn& on_event) {
-  if (!process.active())
-    return replay_with_recovery(
-        ideal_work_s, checkpoint, checkpoint_cost_s, recovery_cost_s,
-        [](int) { return std::numeric_limits<double>::infinity(); }, 0,
-        on_event);
-
-  // The process is stateful; memoize so the ordinal-indexed view is pure.
-  auto proc = std::make_shared<CrashProcess>(process);
-  auto times = std::make_shared<std::vector<double>>();
-  const auto at = [proc, times](int i) {
-    while (static_cast<int>(times->size()) <= i)
-      times->push_back(proc->next().time);
-    return (*times)[static_cast<std::size_t>(i)];
-  };
-  return replay_with_recovery(ideal_work_s, checkpoint, checkpoint_cost_s,
-                              recovery_cost_s, at, max_crashes, on_event);
 }
 
 }  // namespace hpcs::fault

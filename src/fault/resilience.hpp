@@ -11,10 +11,10 @@
 /// (runtime-specific: Docker restarts its daemon and re-pulls, the
 /// shared-FS runtimes re-mount), and replays the lost work.
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 
-#include "fault/schedule.hpp"
 #include "fault/spec.hpp"
 
 namespace hpcs::fault {
@@ -101,18 +101,5 @@ ResilienceReport replay_with_recovery(
     const CheckpointCostFn& checkpoint_cost, double recovery_cost_s,
     const std::function<double(int)>& next_crash_time, int max_crashes,
     const ReplayEventFn& on_event = {});
-
-/// Convenience overload with a constant checkpoint cost.
-ResilienceReport replay_with_recovery(
-    double ideal_work_s, const CheckpointPolicy& checkpoint,
-    double checkpoint_cost_s, double recovery_cost_s,
-    const std::function<double(int)>& next_crash_time, int max_crashes,
-    const ReplayEventFn& on_event = {});
-
-/// Convenience overload drawing crash times from a CrashProcess.
-ResilienceReport replay_with_recovery(
-    double ideal_work_s, const CheckpointPolicy& checkpoint,
-    double checkpoint_cost_s, double recovery_cost_s, CrashProcess process,
-    int max_crashes, const ReplayEventFn& on_event = {});
 
 }  // namespace hpcs::fault

@@ -6,26 +6,6 @@
 
 namespace hpcs::fault {
 
-std::string_view to_string(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::NodeCrash:
-      return "node-crash";
-    case FaultKind::RegistryError:
-      return "registry-error";
-    case FaultKind::StragglerSlowdown:
-      return "straggler";
-    case FaultKind::LinkDegradation:
-      return "link-degradation";
-  }
-  return "?";
-}
-
-std::size_t FaultSchedule::count(FaultKind kind) const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(events.begin(), events.end(),
-                    [kind](const FaultEvent& e) { return e.kind == kind; }));
-}
-
 CrashProcess::CrashProcess(const FaultSpec& spec, sim::Rng stream,
                            int nodes) noexcept
     : stream_(stream), nodes_(std::max(1, nodes)) {
@@ -82,13 +62,6 @@ int FaultInjector::pull_failures(int node, int max_failures) const {
   return failures_on(stream, spec_.registry_fault_rate, max_failures);
 }
 
-int FaultInjector::pull_failures(std::string_view stream,
-                                 int max_failures) const {
-  if (!spec_.enabled) return 0;
-  return failures_on(root_.child("pull").child(stream),
-                     spec_.registry_fault_rate, max_failures);
-}
-
 int FaultInjector::staging_failures(int max_failures) const {
   if (!spec_.enabled) return 0;
   return failures_on(root_.child("stage"), spec_.registry_fault_rate,
@@ -102,14 +75,6 @@ double FaultInjector::wasted_fraction(int node, int attempt) const {
                         static_cast<std::int64_t>(node)))
                     .child(static_cast<std::uint64_t>(attempt));
   return stream.uniform();
-}
-
-double FaultInjector::wasted_fraction(std::string_view stream,
-                                      int attempt) const {
-  if (!spec_.enabled) return 0.0;
-  auto child = root_.child("waste").child(stream).child(
-      static_cast<std::uint64_t>(attempt));
-  return child.uniform();
 }
 
 double FaultInjector::straggler_multiplier(int node) const {

@@ -34,8 +34,6 @@ enum class FaultKind {
   LinkDegradation,
 };
 
-std::string_view to_string(FaultKind k) noexcept;
-
 /// One scheduled fault occurrence.
 struct FaultEvent {
   FaultKind kind = FaultKind::NodeCrash;
@@ -48,7 +46,6 @@ struct FaultEvent {
 struct FaultSchedule {
   std::vector<FaultEvent> events;
 
-  std::size_t count(FaultKind kind) const noexcept;
   bool empty() const noexcept { return events.empty(); }
 };
 
@@ -92,21 +89,12 @@ class FaultInjector {
   /// the pull never succeeded within the retry budget).
   int pull_failures(int node, int max_failures) const;
 
-  /// Named-stream variant for multi-tenant callers: draws come from the
-  /// "fault/pull/<stream>" child, so a tenant's failure count depends
-  /// only on its own name — never on puller position, batch split, or
-  /// worker count.  The gateway routes per-tenant retries through this.
-  int pull_failures(std::string_view stream, int max_failures) const;
-
   /// Like pull_failures for the central shared-FS staging step.
   int staging_failures(int max_failures) const;
 
   /// Fraction of the transfer wasted by failed attempt \p attempt of node
   /// \p node (the connection died partway through), in [0, 1).
   double wasted_fraction(int node, int attempt) const;
-
-  /// Named-stream variant; pairs with pull_failures(stream, ...).
-  double wasted_fraction(std::string_view stream, int attempt) const;
 
   /// Compute slowdown for \p node: spec().straggler_factor when the node
   /// drew the straggler lottery, else 1.0.
@@ -116,10 +104,10 @@ class FaultInjector {
   /// with probability link_degrade_prob, else 1.0.
   double link_multiplier() const;
 
-  /// Named child stream under this injector's root ("fault/<name>").
-  /// Lets callers that must interleave failure draws with time-dependent
-  /// state (gray windows, partitions) walk the *same* streams the bulk
-  /// helpers above use, preserving byte-reproducibility.
+  /// Named child stream under this injector's root ("fault/<name>"), for
+  /// callers that interleave failure draws with time-dependent state
+  /// (gray windows, partitions): the gateway walks "pull"/<stream> and
+  /// "waste"/<stream>/<attempt> one attempt at a time.
   sim::Rng stream(std::string_view name) const { return root_.child(name); }
 
  private:

@@ -328,22 +328,11 @@ GatewayService::FetchResult GatewayService::compute_fetch(
   FetchResult out;
   const double base = config_.upstream_latency_s +
                       static_cast<double>(bytes) / config_.upstream_bw;
-  if (!hazards_.active()) {
-    // Legacy closed form: bulk failure draw, then waste + backoff.
-    out.failures =
-        injector_.pull_failures(stream, config_.retry.max_attempts);
-    for (int a = 0; a < out.failures; ++a)
-      out.fetch_s += base * injector_.wasted_fraction(stream, a);
-    out.fetch_s += config_.retry.total_backoff(out.failures);
-    out.exhausted = out.failures >= config_.retry.max_attempts;
-    if (!out.exhausted) out.fetch_s += base;
-    return out;
-  }
-
-  // Hazard-aware walk: each attempt runs at a concrete simulated time,
-  // so gray windows and partitions hit exactly the attempts they cover.
-  // Failure draws come from the same "fault/pull/<stream>" chain the
-  // bulk helper uses; waste draws from "fault/waste/<stream>/<attempt>".
+  // Each attempt runs at a concrete simulated time, so gray windows and
+  // partitions hit exactly the attempts they cover.  Failure draws come
+  // from "fault/pull/<stream>", waste draws from
+  // "fault/waste/<stream>/<attempt>".  Without hazard windows nothing is
+  // partitioned, gray or stretched, and the walk is the plain retry loop.
   sim::Rng pull = injector_.stream("pull").child(stream);
   const double base_rate = injector_.spec().enabled
                                ? injector_.spec().registry_fault_rate

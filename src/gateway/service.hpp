@@ -153,11 +153,12 @@ class GatewayService {
   /// Walks the worker's crash schedule across a nominal service time and
   /// returns the actual end; counts restarts and records fault spans.
   double apply_crashes(int worker, double start, double service_s);
-  /// Upstream fetch cost for \p stream starting at \p start.  Without
-  /// active hazards this is the closed-form legacy arithmetic (bulk
-  /// failure draw); with hazards it walks attempt by attempt so gray
-  /// windows and partitions apply at the simulated time each attempt
-  /// actually runs — same named streams either way.  Hedged fetches pass
+  /// Upstream fetch cost for \p stream starting at \p start, walked
+  /// attempt by attempt: each failed attempt wastes a drawn fraction of
+  /// the transfer and then backs off, and gray windows and partitions
+  /// apply at the simulated time each attempt actually runs.  Draws come
+  /// from \p stream's own "pull" and "waste" children, never from a
+  /// stream another fetch advances.  Hedged fetches pass
   /// \p bypass_shared_fs: they stream direct from the upstream, so
   /// brownout windows (a shared-FS hazard) don't stretch them, while
   /// gray windows and partitions (upstream hazards) still do.

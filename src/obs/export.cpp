@@ -188,31 +188,6 @@ void write_phase_csv(std::ostream& out, const TraceData& data) {
              sim::CsvWriter::cell(s.duration)});
 }
 
-sim::Timeline to_timeline(const TraceData& data, double origin) {
-  TraceData sorted = data;
-  sorted.canonicalize();
-  sim::Timeline t;
-  for (const auto& s : sorted.spans) {
-    if (s.category != "phase") continue;
-    sim::Phase phase;
-    if (s.name == "compute") {
-      phase = sim::Phase::Compute;
-    } else if (s.name == "halo") {
-      phase = sim::Phase::HaloExchange;
-    } else if (s.name == "reduction") {
-      phase = sim::Phase::Reduction;
-    } else if (s.name == "interface") {
-      phase = sim::Phase::Interface;
-    } else if (s.name == "deployment") {
-      phase = sim::Phase::Deployment;
-    } else {
-      continue;
-    }
-    t.record(s.track, phase, std::max(0.0, s.start - origin), s.duration);
-  }
-  return t;
-}
-
 namespace {
 
 /// Prometheus metric-name charset: [a-zA-Z0-9_:]; everything else (our

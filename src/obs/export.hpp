@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file export.hpp
-/// \brief Trace serializers: Chrome `chrome://tracing` JSON, Paraver-style
-///        phase CSV, and the legacy sim::Timeline adapter.
+/// \brief Trace serializers: Chrome `chrome://tracing` JSON and
+///        Paraver-style phase CSV.
 ///
 /// All writers emit events in canonical order (events.hpp) with fixed
 /// numeric formatting, so two structurally identical traces — e.g. the
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "obs/collector.hpp"
-#include "sim/trace.hpp"
 
 namespace hpcs::obs {
 
@@ -60,14 +59,8 @@ bool save_chrome_trace(const std::string& path, const TraceData& data,
                        const std::string& process = "run");
 
 /// Paraver-style flat CSV ("track,category,name,start,duration") of the
-/// span set, in canonical order — supersedes sim::Timeline::save_csv as
-/// the runner's export path.
+/// span set, in canonical order.
 void write_phase_csv(std::ostream& out, const TraceData& data);
-
-/// Legacy adapter: rebuilds a sim::Timeline from the "phase"-category
-/// spans, shifting starts by -\p origin (the execution phase's offset in
-/// the trace).  Keeps the pre-obs Timeline API and tests working.
-sim::Timeline to_timeline(const TraceData& data, double origin = 0.0);
 
 /// Prometheus-style text exposition of a windowed time-series store:
 /// counters as `hpcs_<name>_total`, gauges as `hpcs_<name>`, sketches as

@@ -95,11 +95,6 @@ std::map<std::string, double> Metrics::counters() const {
   return counters_;
 }
 
-std::map<std::string, double> Metrics::gauges() const {
-  std::lock_guard lock(mutex_);
-  return gauges_;
-}
-
 void Metrics::write_json(std::ostream& out) const {
   std::lock_guard lock(mutex_);
   out << "{\n  \"counters\": {";

@@ -52,9 +52,8 @@ class Metrics {
   /// Histogram snapshot; nullopt for unknown names.
   std::optional<sim::RunningStats> histogram(std::string_view name) const;
 
-  /// Snapshots for deterministic iteration (sorted by name).
+  /// Snapshot for deterministic iteration (sorted by name).
   std::map<std::string, double> counters() const;
-  std::map<std::string, double> gauges() const;
 
   /// Writes the registry as a JSON object ({"counters": ..., "gauges":
   /// ..., "histograms": ...}), keys sorted, %.17g numbers — byte-stable

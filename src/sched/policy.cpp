@@ -4,26 +4,6 @@
 
 namespace hpcs::sched {
 
-std::string_view to_string(AllocMode mode) noexcept {
-  switch (mode) {
-    case AllocMode::Dedicated:
-      return "dedicated";
-    case AllocMode::NodeShare:
-      return "share";
-  }
-  return "?";
-}
-
-std::string_view to_string(QueueDiscipline q) noexcept {
-  switch (q) {
-    case QueueDiscipline::Fifo:
-      return "fifo";
-    case QueueDiscipline::Backfill:
-      return "backfill";
-  }
-  return "?";
-}
-
 SchedPolicy SchedPolicy::preset(const std::string& name) {
   SchedPolicy policy;
   policy.name = name;

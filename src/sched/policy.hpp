@@ -14,7 +14,6 @@
 ///     utilization-vs-interference trade).
 
 #include <string>
-#include <string_view>
 
 namespace hpcs::sched {
 
@@ -29,9 +28,6 @@ enum class QueueDiscipline {
   Fifo,      ///< strict priority/FIFO; a blocked head stalls the queue
   Backfill,  ///< conservative backfill behind the head's reservation
 };
-
-std::string_view to_string(AllocMode mode) noexcept;
-std::string_view to_string(QueueDiscipline q) noexcept;
 
 struct SchedPolicy {
   std::string name = "backfill-dedicated";

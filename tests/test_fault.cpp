@@ -233,7 +233,8 @@ TEST(RetryPolicy, Validation) {
 TEST(Replay, NoCrashesOnlyCheckpointOverhead) {
   const hf::CheckpointPolicy ckpt{.interval_s = 3.0};
   const auto rep = hf::replay_with_recovery(
-      10.0, ckpt, 1.0, 5.0, [](int) { return kInf; }, 64);
+      10.0, ckpt, [](double) { return 1.0; }, 5.0, [](int) { return kInf; },
+      64);
   EXPECT_EQ(rep.crashes, 0);
   EXPECT_EQ(rep.checkpoints, 3);  // after 3, 6, 9 s of work
   EXPECT_DOUBLE_EQ(rep.checkpoint_overhead_s, 3.0);
@@ -252,7 +253,7 @@ TEST(Replay, CrashRollsBackToLastCheckpoint) {
   const hf::CheckpointPolicy ckpt{.interval_s = 30.0};
   std::vector<double> crashes{50.0};
   const auto rep = hf::replay_with_recovery(
-      100.0, ckpt, 2.0, 10.0,
+      100.0, ckpt, [](double) { return 2.0; }, 10.0,
       [&](int i) {
         return i < static_cast<int>(crashes.size())
                    ? crashes[static_cast<std::size_t>(i)]
@@ -272,7 +273,7 @@ TEST(Replay, NoCheckpointingRestartsFromScratch) {
   const hf::CheckpointPolicy ckpt{.interval_s = 0.0};
   std::vector<double> crashes{20.0};
   const auto rep = hf::replay_with_recovery(
-      50.0, ckpt, 0.0, 5.0,
+      50.0, ckpt, [](double) { return 0.0; }, 5.0,
       [&](int i) {
         return i < 1 ? crashes[static_cast<std::size_t>(i)] : kInf;
       },
@@ -289,7 +290,7 @@ TEST(Replay, CrashesDuringDowntimeAreMasked) {
   const hf::CheckpointPolicy ckpt{.interval_s = 0.0};
   std::vector<double> crashes{20.0, 22.0};
   const auto rep = hf::replay_with_recovery(
-      50.0, ckpt, 0.0, 10.0,
+      50.0, ckpt, [](double) { return 0.0; }, 10.0,
       [&](int i) {
         return i < static_cast<int>(crashes.size())
                    ? crashes[static_cast<std::size_t>(i)]
@@ -303,7 +304,8 @@ TEST(Replay, CrashesDuringDowntimeAreMasked) {
 
 TEST(Replay, ZeroWorkIsFree) {
   const auto rep = hf::replay_with_recovery(
-      0.0, hf::CheckpointPolicy{}, 1.0, 1.0, [](int) { return kInf; }, 64);
+      0.0, hf::CheckpointPolicy{}, [](double) { return 1.0; }, 1.0,
+      [](int) { return kInf; }, 64);
   EXPECT_DOUBLE_EQ(rep.effective_time_s, 0.0);
   EXPECT_EQ(rep.checkpoints, 0);
   EXPECT_DOUBLE_EQ(rep.overhead_fraction(), 0.0);

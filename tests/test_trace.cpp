@@ -1,65 +1,37 @@
-// Timeline tracing (Paraver-lite) and its runner integration.
+// The runner's per-step phase breakdown, read off the trace's "phase"
+// spans (Paraver-lite).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/runner.hpp"
 #include "hw/presets.hpp"
-#include "sim/trace.hpp"
 
 namespace hs = hpcs::study;
 namespace hc = hpcs::container;
-namespace hsim = hpcs::sim;
+namespace ho = hpcs::obs;
 
-TEST(Timeline, RecordAndTotals) {
-  hsim::Timeline t;
-  EXPECT_TRUE(t.empty());
-  t.record(0, hsim::Phase::Compute, 0.0, 2.0);
-  t.record(0, hsim::Phase::HaloExchange, 2.0, 0.5);
-  t.record(1, hsim::Phase::Compute, 0.0, 1.0);
-  EXPECT_EQ(t.size(), 3u);
-  const auto totals = t.totals();
-  EXPECT_DOUBLE_EQ(totals.at(hsim::Phase::Compute), 3.0);
-  EXPECT_DOUBLE_EQ(totals.at(hsim::Phase::HaloExchange), 0.5);
-  EXPECT_DOUBLE_EQ(t.span(), 2.5);
+namespace {
+
+std::vector<ho::SpanEvent> phase_spans(const ho::TraceData& trace) {
+  std::vector<ho::SpanEvent> out;
+  for (const auto& s : trace.spans)
+    if (s.category == "phase") out.push_back(s);
+  return out;
 }
 
-TEST(Timeline, Validation) {
-  hsim::Timeline t;
-  EXPECT_THROW(t.record(0, hsim::Phase::Compute, -1.0, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(t.record(0, hsim::Phase::Compute, 0.0, -1.0),
-               std::invalid_argument);
+std::map<std::string, double> phase_totals(
+    const std::vector<ho::SpanEvent>& phases) {
+  std::map<std::string, double> out;
+  for (const auto& s : phases) out[s.name] += s.duration;
+  return out;
 }
 
-TEST(Timeline, EmptySpanZero) {
-  hsim::Timeline t;
-  EXPECT_DOUBLE_EQ(t.span(), 0.0);
-  EXPECT_TRUE(t.totals().empty());
-}
-
-TEST(Timeline, CsvExport) {
-  hsim::Timeline t;
-  t.record(3, hsim::Phase::Reduction, 1.5, 0.25);
-  const std::string path = "/tmp/hpcs_trace_test.csv";
-  ASSERT_TRUE(t.save_csv(path));
-  std::ifstream in(path);
-  std::string header, row;
-  std::getline(in, header);
-  std::getline(in, row);
-  EXPECT_EQ(header, "entity,phase,start,duration");
-  EXPECT_EQ(row, "3,reduction,1.5,0.25");
-  std::remove(path.c_str());
-  EXPECT_FALSE(t.save_csv("/no-such-dir/x.csv"));
-}
-
-TEST(Timeline, PhaseNames) {
-  EXPECT_EQ(hsim::to_string(hsim::Phase::Compute), "compute");
-  EXPECT_EQ(hsim::to_string(hsim::Phase::Interface), "interface");
-  EXPECT_EQ(hsim::to_string(hsim::Phase::Deployment), "deployment");
-}
+}  // namespace
 
 TEST(RunnerTimeline, DisabledByDefault) {
   const hs::ExperimentRunner runner;
@@ -69,12 +41,12 @@ TEST(RunnerTimeline, DisabledByDefault) {
                  .ranks = 28,
                  .threads = 4,
                  .time_steps = 3};
-  EXPECT_TRUE(runner.run(s).timeline.empty());
+  EXPECT_TRUE(runner.run(s).trace.empty());
 }
 
 TEST(RunnerTimeline, RecordsPhasesPerStep) {
   hs::RunnerOptions opts;
-  opts.record_timeline = true;
+  opts.observe = true;
   const hs::ExperimentRunner runner(opts);
   hs::Scenario s{.cluster = hpcs::hw::presets::lenox(),
                  .runtime = hc::RuntimeKind::BareMetal,
@@ -83,21 +55,29 @@ TEST(RunnerTimeline, RecordsPhasesPerStep) {
                  .threads = 4,
                  .time_steps = 4};
   const auto r = runner.run(s);
+  const auto phases = phase_spans(r.trace);
   // CFD: 3 phases per step (no interface phase).
-  EXPECT_EQ(r.timeline.size(), 12u);
-  // The timeline reconstructs the campaign duration.
-  EXPECT_NEAR(r.timeline.span(), r.total_time, r.total_time * 1e-9);
+  ASSERT_EQ(phases.size(), 12u);
+  // The phase spans, laid back-to-back, reconstruct the campaign duration.
+  double first = phases.front().start;
+  double last = 0.0;
+  for (const auto& p : phases) {
+    first = std::min(first, p.start);
+    last = std::max(last, p.start + p.duration);
+  }
+  EXPECT_NEAR(last - first, r.total_time, r.total_time * 1e-9);
   // Phase totals match the result decomposition.
-  const auto totals = r.timeline.totals();
-  EXPECT_NEAR(totals.at(hsim::Phase::Compute), r.compute_time * 4.0,
+  const auto totals = phase_totals(phases);
+  EXPECT_EQ(totals.count("interface"), 0u);
+  EXPECT_NEAR(totals.at("compute"), r.compute_time * 4.0,
               r.compute_time * 4e-9 + 1e-12);
-  EXPECT_NEAR(totals.at(hsim::Phase::HaloExchange), r.halo_time * 4.0,
+  EXPECT_NEAR(totals.at("halo"), r.halo_time * 4.0,
               r.halo_time * 4e-9 + 1e-12);
 }
 
 TEST(RunnerTimeline, FsiIncludesInterfacePhase) {
   hs::RunnerOptions opts;
-  opts.record_timeline = true;
+  opts.observe = true;
   const hs::ExperimentRunner runner(opts);
   hs::Scenario s{.cluster = hpcs::hw::presets::marenostrum4(),
                  .runtime = hc::RuntimeKind::BareMetal,
@@ -107,6 +87,7 @@ TEST(RunnerTimeline, FsiIncludesInterfacePhase) {
                  .threads = 1,
                  .time_steps = 2};
   const auto r = runner.run(s);
-  EXPECT_EQ(r.timeline.size(), 8u);  // 4 phases x 2 steps
-  EXPECT_GT(r.timeline.totals().at(hsim::Phase::Interface), 0.0);
+  const auto phases = phase_spans(r.trace);
+  EXPECT_EQ(phases.size(), 8u);  // 4 phases x 2 steps
+  EXPECT_GT(phase_totals(phases)["interface"], 0.0);
 }

@@ -313,15 +313,10 @@ const std::vector<AllowEntry>& builtin_allowlist() {
        "the deterministic RNG facility every other module must use"},
       {"src/sim/rng.cpp", "DET-002",
        "the deterministic RNG facility every other module must use"},
-      {"bench/bench_gateway.cpp", "DET-001",
-       "host elapsed-time line printed after the grid completes; wall "
-       "clock never reaches the CSV/trace/metrics artifacts"},
-      {"bench/bench_chaos.cpp", "DET-001",
-       "host elapsed-time line printed after the grid completes; wall "
-       "clock never reaches the CSV/trace/metrics artifacts"},
-      {"bench/bench_sched.cpp", "DET-001",
-       "host elapsed-time line printed after the grid completes; wall "
-       "clock never reaches the CSV/trace/metrics artifacts"},
+      {"bench/grid_cli.hpp", "DET-001",
+       "the grid benches' elapsed-time line, printed after the grid "
+       "completes; wall clock never reaches the CSV/trace/metrics "
+       "artifacts"},
   };
   return kList;
 }

@@ -3,10 +3,12 @@
 /// \file bench_util.hpp
 /// \brief Shared helpers for the paper-figure bench binaries.
 
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
 
+#include "core/cli.hpp"
 #include "core/images.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
@@ -20,16 +22,19 @@ inline std::string results_path(const std::string& name) {
   return (std::filesystem::path("results") / name).string();
 }
 
-/// Prints the figure and mirrors it to results/<csv_name>; reports where.
+/// Prints the figure and mirrors it to results/<csv_name> plus a gnuplot
+/// script next to it; reports where.  A file that cannot be written
+/// ends the program with exit code 1 after naming the path.
 inline void emit(const hpcs::study::Figure& fig, const std::string& csv_name) {
   fig.print(std::cout);
   const auto path = results_path(csv_name);
-  if (fig.save_csv(path)) {
-    (void)fig.save_gnuplot(path + ".gp", path);
-    std::cout << "[saved " << path << " (+ .gp plot script)]\n\n";
-  } else {
-    std::cout << "[warning: could not write " << path << "]\n\n";
-  }
+  if (!hpcs::study::save_outputs(
+          {{path, [&](std::ostream& o) { fig.write_csv(o); }},
+           {path + ".gp",
+            [&](std::ostream& o) { fig.write_gnuplot(o, path); }}},
+          std::cout, std::cerr))
+    std::exit(1);
+  std::cout << '\n';
 }
 
 /// Builds a scenario for one figure point.

@@ -14,7 +14,6 @@
 // and mirrors it to CSV (per cell) and JSON (summary); results are
 // byte-identical for any --jobs count.
 
-#include <filesystem>
 #include <iostream>
 
 #include "core/campaign.hpp"
@@ -28,12 +27,6 @@ using hpcs::sim::TextTable;
 
 namespace {
 
-void ensure_parent_dir(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::create_directories(
-      std::filesystem::path(path).parent_path(), ec);
-}
-
 int run_campaign(const hs::CliOptions& opts) {
   const auto spec = hs::to_campaign_spec(opts);
   const hs::CampaignRunner runner(
@@ -43,41 +36,20 @@ int run_campaign(const hs::CliOptions& opts) {
   const auto res = runner.run(spec);
   res.print(std::cout);
 
-  ensure_parent_dir(opts.csv_path);
-  ensure_parent_dir(opts.json_path);
-  if (res.save_csv(opts.csv_path))
-    std::cout << "[saved " << opts.csv_path << "]\n";
-  else
-    std::cerr << "warning: could not write " << opts.csv_path << "\n";
-  if (res.save_json(opts.json_path))
-    std::cout << "[saved " << opts.json_path << "]\n";
-  else
-    std::cerr << "warning: could not write " << opts.json_path << "\n";
-  if (!opts.trace_path.empty()) {
-    ensure_parent_dir(opts.trace_path);
-    if (res.save_chrome_trace(opts.trace_path))
-      std::cout << "[saved " << opts.trace_path << "]\n";
-    else
-      std::cerr << "warning: could not write " << opts.trace_path << "\n";
-  }
-  if (!opts.metrics_path.empty()) {
-    ensure_parent_dir(opts.metrics_path);
-    if (res.save_metrics_json(opts.metrics_path))
-      std::cout << "[saved " << opts.metrics_path << "]\n";
-    else
-      std::cerr << "warning: could not write " << opts.metrics_path << "\n";
-  }
-  if (!opts.timeseries_path.empty()) {
-    ensure_parent_dir(opts.timeseries_path);
-    const std::string json_path = opts.timeseries_path + ".json";
-    if (res.save_timeseries_csv(opts.timeseries_path) &&
-        res.save_timeseries_json(json_path))
-      std::cout << "[saved " << opts.timeseries_path << " + " << json_path
-                << "]\n";
-    else
-      std::cerr << "warning: could not write " << opts.timeseries_path
-                << "\n";
-  }
+  if (!hs::save_outputs(
+          {{opts.csv_path, [&](std::ostream& o) { res.write_csv(o); }},
+           {opts.json_path, [&](std::ostream& o) { res.write_json(o); }},
+           {opts.trace_path,
+            [&](std::ostream& o) { res.write_chrome_trace(o); }},
+           {opts.metrics_path,
+            [&](std::ostream& o) { res.aggregate_metrics().write_json(o); }},
+           {opts.timeseries_path,
+            [&](std::ostream& o) { res.write_timeseries_csv(o); }},
+           {hs::timeseries_json_path(opts), [&](std::ostream& o) {
+              res.aggregate_timeseries().write_json(o);
+            }}},
+          std::cout, std::cerr))
+    return 1;
 
   // Failed cells are part of a campaign's normal output; only a campaign
   // with no successful cell at all is a usage error.
@@ -152,32 +124,19 @@ int main(int argc, char** argv) {
       rt.print(std::cout);
     }
 
-    if (!opts.trace_path.empty()) {
-      ensure_parent_dir(opts.trace_path);
-      if (hpcs::obs::save_chrome_trace(opts.trace_path, r.trace, r.label))
-        std::cout << "[saved " << opts.trace_path << "]\n";
-      else
-        std::cerr << "warning: could not write " << opts.trace_path << "\n";
-    }
-    if (!opts.metrics_path.empty()) {
-      ensure_parent_dir(opts.metrics_path);
-      if (r.metrics.save_json(opts.metrics_path))
-        std::cout << "[saved " << opts.metrics_path << "]\n";
-      else
-        std::cerr << "warning: could not write " << opts.metrics_path
-                  << "\n";
-    }
-    if (!opts.timeseries_path.empty()) {
-      ensure_parent_dir(opts.timeseries_path);
-      const std::string ts_json = opts.timeseries_path + ".json";
-      if (r.timeseries.save_csv(opts.timeseries_path, r.label) &&
-          r.timeseries.save_json(ts_json))
-        std::cout << "[saved " << opts.timeseries_path << " + " << ts_json
-                  << "]\n";
-      else
-        std::cerr << "warning: could not write " << opts.timeseries_path
-                  << "\n";
-    }
+    if (!hs::save_outputs(
+            {{opts.trace_path,
+              [&](std::ostream& o) {
+                hpcs::obs::write_chrome_trace(o, r.trace, r.label);
+              }},
+             {opts.metrics_path,
+              [&](std::ostream& o) { r.metrics.write_json(o); }},
+             {opts.timeseries_path,
+              [&](std::ostream& o) { r.timeseries.write_csv(o, r.label); }},
+             {hs::timeseries_json_path(opts),
+              [&](std::ostream& o) { r.timeseries.write_json(o); }}},
+            std::cout, std::cerr))
+      return 1;
 
     if (opts.timeline) {
       // One row per phase the run recorded, in the solver's step order;

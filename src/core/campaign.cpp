@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -520,13 +519,6 @@ void CampaignResult::write_csv(std::ostream& out) const {
   }
 }
 
-bool CampaignResult::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_csv(out);
-  return out.good();
-}
-
 void CampaignResult::write_json(std::ostream& out) const {
   out << "{\n";
   out << "  \"name\": \"" << json_escape(name) << "\",\n";
@@ -541,7 +533,6 @@ void CampaignResult::write_json(std::ostream& out) const {
       << ", \"node_counts\": " << axes[3] << ", \"geometries\": " << axes[4]
       << ", \"faults\": " << axes[5] << ", \"repetitions\": " << axes[6]
       << "},\n";
-  out << "  \"wall_time_s\": " << wall_time_s << ",\n";
   int crashes = 0, pull_retries = 0, retried_cells = 0;
   double downtime = 0.0, lost_work = 0.0;
   for (const CampaignCell& cell : cells) {
@@ -586,13 +577,6 @@ void CampaignResult::write_json(std::ostream& out) const {
   out << "\n}\n";
 }
 
-bool CampaignResult::save_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_json(out);
-  return out.good();
-}
-
 obs::Metrics CampaignResult::aggregate_metrics() const {
   obs::Metrics m;
   // Strict cell-index order: counter sums and histogram combines are
@@ -606,10 +590,6 @@ obs::Metrics CampaignResult::aggregate_metrics() const {
   m.count("campaign/image_cache_hits",
           static_cast<double>(image_cache_hits));
   return m;
-}
-
-bool CampaignResult::save_metrics_json(const std::string& path) const {
-  return aggregate_metrics().save_json(path);
 }
 
 obs::TimeSeries CampaignResult::aggregate_timeseries() const {
@@ -627,17 +607,6 @@ void CampaignResult::write_timeseries_csv(std::ostream& out) const {
   for (const CampaignCell& cell : cells)
     if (cell.ok) cell.result.timeseries.write_csv_rows(csv, cell.key);
   aggregate_timeseries().write_csv_rows(csv, "(aggregate)");
-}
-
-bool CampaignResult::save_timeseries_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_timeseries_csv(out);
-  return out.good();
-}
-
-bool CampaignResult::save_timeseries_json(const std::string& path) const {
-  return aggregate_timeseries().save_json(path);
 }
 
 void CampaignResult::write_chrome_trace(std::ostream& out) const {
@@ -675,13 +644,6 @@ void CampaignResult::write_chrome_trace(std::ostream& out) const {
       w.add(cell.result.trace, pid);
   }
   w.finish();
-}
-
-bool CampaignResult::save_chrome_trace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out);
-  return out.good();
 }
 
 void CampaignResult::print(std::ostream& out) const {

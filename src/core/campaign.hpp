@@ -219,19 +219,17 @@ struct CampaignResult {
   /// Per-cell results, one CSV row per cell, byte-identical for any jobs
   /// count (no wall-clock or order-dependent columns).
   void write_csv(std::ostream& out) const;
-  bool save_csv(const std::string& path) const;
 
   /// Machine-readable campaign summary (counts, cache stats, failed
-  /// cells, wall time, and — when cells carry metrics — the aggregate
-  /// metrics registry).
+  /// cells, and — when cells carry metrics — the aggregate metrics
+  /// registry).  Host wall time stays out, so the bytes are a pure
+  /// function of the spec, like the CSV's.
   void write_json(std::ostream& out) const;
-  bool save_json(const std::string& path) const;
 
   /// Merges every successful cell's metrics in cell-index order (counters
   /// add, gauges keep the max, histograms combine exactly) and adds
   /// campaign-level counters.  Deterministic and jobs-invariant.
   obs::Metrics aggregate_metrics() const;
-  bool save_metrics_json(const std::string& path) const;
 
   /// Merges every successful cell's windowed store in cell-index order
   /// (empty when temporal telemetry was off) — the associative merge
@@ -240,9 +238,6 @@ struct CampaignResult {
   /// Time-series CSV: one scope per successful cell in expansion order
   /// plus a final "(aggregate)" scope.  Deterministic bytes.
   void write_timeseries_csv(std::ostream& out) const;
-  bool save_timeseries_csv(const std::string& path) const;
-  /// Aggregate store as "hpcs-timeseries-v1" JSON (hpcs-report input).
-  bool save_timeseries_json(const std::string& path) const;
 
   /// Chrome trace-event JSON for the whole campaign: one trace process
   /// per cell (pid = cell index, named by the cell key) holding a
@@ -250,7 +245,6 @@ struct CampaignResult {
   /// cells appear as a "cell-failed" instant.  Byte-identical for any
   /// jobs count.  Open in chrome://tracing or https://ui.perfetto.dev.
   void write_chrome_trace(std::ostream& out) const;
-  bool save_chrome_trace(const std::string& path) const;
 
   /// Per-cell table plus a summary footer.
   void print(std::ostream& out) const;

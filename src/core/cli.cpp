@@ -159,6 +159,9 @@ CliOptions parse_cli(std::span<const char* const> args) {
                                   cli_usage());
     }
   }
+  if (o.campaign && o.timeline)
+    throw std::invalid_argument(
+        "--timeline: single-run only; campaign mode prints no timeline");
   return o;
 }
 
@@ -304,10 +307,16 @@ bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
   return true;
 }
 
+std::string timeseries_json_path(const CliOptions& o) {
+  return o.timeseries_path.empty() ? "" : o.timeseries_path + ".json";
+}
+
 void validate_output_paths(const CliOptions& o) {
-  std::vector<OutputFlag> outputs = {{"--trace-out", o.trace_path},
-                                     {"--metrics-out", o.metrics_path},
-                                     {"--timeseries-out", o.timeseries_path}};
+  std::vector<OutputFlag> outputs = {
+      {"--trace-out", o.trace_path},
+      {"--metrics-out", o.metrics_path},
+      {"--timeseries-out", o.timeseries_path},
+      {"--timeseries-out", timeseries_json_path(o)}};
   if (o.campaign) {
     outputs.push_back({"--csv", o.csv_path});
     outputs.push_back({"--json", o.json_path});
@@ -318,9 +327,9 @@ void validate_output_paths(const CliOptions& o) {
 RunnerOptions to_runner_options(const CliOptions& o) {
   RunnerOptions ro;
   // A single run's --timeline totals are summed from the trace's phase
-  // spans; a campaign never prints them, so there it observes nothing.
+  // spans (parse_cli rejects --timeline in campaign mode).
   ro.observe = !o.trace_path.empty() || !o.metrics_path.empty() ||
-               !o.timeseries_path.empty() || (o.timeline && !o.campaign);
+               !o.timeseries_path.empty() || o.timeline;
   if (!o.timeseries_path.empty()) ro.timeseries_window_s = o.window_s;
   if (o.checkpoint_interval >= 0)
     ro.checkpoint.interval_s = o.checkpoint_interval;
@@ -347,7 +356,7 @@ std::string cli_usage() {
   --threads T      OpenMP threads per rank (default 1)
   --steps S        simulated time steps (default 10)
   --seed X         RNG seed (default 42)
-  --timeline       record and print the phase timeline
+  --timeline       record and print the phase timeline (single-run only)
   --help           this text
 
 observability (simulated-time spans + metrics; off = zero cost):

@@ -146,9 +146,14 @@ struct OutputFile {
 bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
                   std::ostream& err);
 
-/// Probes every output path the run will write: --trace-out and
-/// --metrics-out always, --csv/--json in campaign mode (single runs
-/// don't write them).  Empty paths are skipped.
+/// The aggregate hpcs-timeseries-v1 JSON that --timeseries-out PATH also
+/// writes: PATH.json, or "" when --timeseries-out is not given.
+std::string timeseries_json_path(const CliOptions& options);
+
+/// Probes every output path the run will write: --trace-out,
+/// --metrics-out and --timeseries-out (with the PATH.json it also
+/// writes) always, --csv/--json in campaign mode (single runs don't
+/// write them).  Empty paths are skipped.
 /// \throws std::invalid_argument naming the offending flag.
 void validate_output_paths(const CliOptions& options);
 

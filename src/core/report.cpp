@@ -1,6 +1,6 @@
 #include "core/report.hpp"
 
-#include <fstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "sim/csv.hpp"
@@ -39,6 +39,7 @@ void Figure::write_csv(std::ostream& out) const {
   std::vector<std::string> header{x_label};
   for (const auto& s : series) header.push_back(s.name);
   sim::CsvWriter csv(out, header);
+  if (series.empty()) return;
   const auto& xs = series.front().x;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     std::vector<std::string> row{xs[i]};
@@ -48,37 +49,22 @@ void Figure::write_csv(std::ostream& out) const {
   }
 }
 
-bool Figure::save_csv(const std::string& path) const {
-  if (series.empty()) return false;
-  std::ofstream f(path);
-  if (!f) return false;
-  write_csv(f);
-  return f.good();
-}
-
-bool Figure::save_gnuplot(const std::string& script_path,
-                          const std::string& csv_path) const {
-  if (series.empty()) return false;
-  std::ofstream f(script_path);
-  if (!f) return false;
-  f << "# Generated by hpcs — render with: gnuplot " << script_path
-    << "\n"
-    << "set datafile separator ','\n"
-    << "set key outside\n"
-    << "set grid\n"
-    << "set title \"" << title << "\"\n"
-    << "set xlabel \"" << x_label << "\"\n"
-    << "set ylabel \"" << y_label << "\"\n"
-    << "set terminal pngcairo size 900,600\n"
-    << "set output \"" << csv_path << ".png\"\n"
-    << "plot ";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i) f << ", \\\n     ";
-    f << "'" << csv_path << "' using 0:" << (i + 2)
-      << ":xtic(1) with linespoints title \"" << series[i].name << "\"";
-  }
-  f << '\n';
-  return f.good();
+void Figure::write_gnuplot(std::ostream& out,
+                           const std::string& csv_path) const {
+  out << "# Generated by hpcs — render with: gnuplot " << csv_path << ".gp\n"
+      << "set datafile separator ','\n"
+      << "set key outside\n"
+      << "set grid\n"
+      << "set title \"" << title << "\"\n"
+      << "set xlabel \"" << x_label << "\"\n"
+      << "set ylabel \"" << y_label << "\"\n"
+      << "set terminal pngcairo size 900,600\n"
+      << "set output \"" << csv_path << ".png\"\n";
+  for (std::size_t i = 0; i < series.size(); ++i)
+    out << (i ? ", \\\n     " : "plot ") << "'" << csv_path << "' using 0:"
+        << (i + 2) << ":xtic(1) with linespoints title \"" << series[i].name
+        << "\"";
+  if (!series.empty()) out << '\n';
 }
 
 Series speedup_series(const std::string& name,

@@ -32,17 +32,14 @@ struct Figure {
   void print(std::ostream& out) const;
 
   /// Writes "x,series1,series2,..." CSV rows to \p out.  The byte-exact
-  /// format the golden-figure regression suite locks down.
+  /// format the golden-figure regression suite locks down.  A figure
+  /// with no series writes the header line alone.
   void write_csv(std::ostream& out) const;
 
-  /// Writes "x,series1,series2,..." CSV to \p path (directories must
-  /// exist).  Returns false (and prints nothing) on I/O failure.
-  bool save_csv(const std::string& path) const;
-
-  /// Writes a gnuplot script that renders this figure from the CSV at
-  /// \p csv_path into a PNG next to it.  Returns false on I/O failure.
-  bool save_gnuplot(const std::string& script_path,
-                    const std::string& csv_path) const;
+  /// Writes a gnuplot script, meant to be saved as `<csv_path>.gp`, that
+  /// renders this figure from the CSV at \p csv_path into a PNG next to
+  /// it.  A figure with no series gets no plot command.
+  void write_gnuplot(std::ostream& out, const std::string& csv_path) const;
 };
 
 /// Computes a speedup series from elapsed times: speedup(x) =

@@ -166,13 +166,10 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
   result.nodes = scenario.nodes;
   result.step_times.reserve(static_cast<std::size_t>(scenario.time_steps));
 
-  // Observability: one collector per run, feeding a private in-memory
-  // sink.  Every recorded time is simulated, so the trace is a pure
-  // function of the scenario and seed.
-  const auto obs_sink = options_.observe
-                            ? std::make_shared<obs::MemorySink>()
-                            : std::shared_ptr<obs::MemorySink>{};
-  obs::Collector col(obs_sink);
+  // Observability: one collector per run, holding the run's trace.  Every
+  // recorded time is simulated, so the trace is a pure function of the
+  // scenario and seed.
+  obs::Collector col(options_.observe);
   if (options_.timeseries_window_s > 0)
     col.enable_timeseries(options_.timeseries_window_s);
   obs::SpanScope run_scope(col, 0, "run", "runner", 0.0);
@@ -438,7 +435,7 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
     }
 
     run_scope.close(col.cursor(0));
-    result.trace = obs_sink->take();
+    result.trace = col.take_trace();
     result.metrics = col.metrics();
     if (col.timeseries_enabled()) result.timeseries = col.timeseries();
   }

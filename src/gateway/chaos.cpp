@@ -1,6 +1,5 @@
 #include "gateway/chaos.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 #include "fault/spec.hpp"
@@ -122,16 +121,14 @@ ChaosCellResult run_chaos_cell(const ChaosGridSpec& spec,
   const fault::HazardInjector hazard_injector(
       fault::HazardSpec::preset(hazard), seed);
 
-  const std::shared_ptr<obs::MemorySink> sink =
-      observe ? std::make_shared<obs::MemorySink>() : nullptr;
-  obs::Collector collector(sink);  // null sink = disabled, zero cost
+  obs::Collector collector(observe);  // not observing = disabled, zero cost
 
   GatewayService service(config, runtime, catalog, std::move(injector),
                          workload.horizon_s, &collector, hazard_injector);
   while (const auto request = arrivals.next()) service.submit(*request);
   cell.stats = service.finish();
   if (observe) {
-    cell.trace = sink->take();
+    cell.trace = collector.take_trace();
     cell.metrics = collector.metrics();
   }
   return cell;

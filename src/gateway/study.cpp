@@ -1,7 +1,6 @@
 #include "gateway/study.hpp"
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "fault/spec.hpp"
@@ -58,9 +57,7 @@ GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
   ArrivalProcess arrivals(workload, root);
   fault::FaultInjector injector(fault::FaultSpec::preset(faults), seed);
 
-  const std::shared_ptr<obs::MemorySink> sink =
-      observe ? std::make_shared<obs::MemorySink>() : nullptr;
-  obs::Collector collector(sink);  // null sink = disabled, zero cost
+  obs::Collector collector(observe);  // not observing = disabled, zero cost
   if (spec.timeseries_window_s > 0)
     collector.enable_timeseries(spec.timeseries_window_s);
 
@@ -80,7 +77,7 @@ GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
       obs::emit_slo_alerts(collector, slo_track, report);
   }
   if (observe) {
-    cell.trace = sink->take();
+    cell.trace = collector.take_trace();
     cell.metrics = collector.metrics();
   }
   return cell;

@@ -24,30 +24,20 @@ void TraceData::canonicalize() {
   std::stable_sort(instants.begin(), instants.end(), instant_before);
 }
 
-void MemorySink::on_span(SpanEvent event) {
-  std::lock_guard lock(mutex_);
-  data_.spans.push_back(std::move(event));
-}
-
-void MemorySink::on_instant(InstantEvent event) {
-  std::lock_guard lock(mutex_);
-  data_.instants.push_back(std::move(event));
-}
-
-TraceData MemorySink::take() {
-  std::lock_guard lock(mutex_);
-  TraceData out = std::move(data_);
-  data_ = TraceData{};
+TraceData Collector::take_trace() {
+  TraceData out;
+  {
+    std::lock_guard lock(mutex_);
+    std::swap(out, trace_);
+  }
   out.canonicalize();
   return out;
 }
 
-Collector::Collector(std::shared_ptr<Sink> sink) : sink_(std::move(sink)) {}
-
 void Collector::span(int track, std::string_view name,
                      std::string_view category, double start,
                      double duration, EventArgs args) {
-  if (!sink_) return;
+  if (!enabled_) return;
   SpanEvent e;
   e.name = std::string(name);
   e.category = std::string(category);
@@ -63,14 +53,14 @@ void Collector::span(int track, std::string_view name,
       e.parent = it->second.back().id;
     double& cursor = cursors_[track];
     cursor = std::max(cursor, e.end());
+    trace_.spans.push_back(std::move(e));
   }
-  sink_->on_span(std::move(e));
 }
 
 void Collector::instant(int track, std::string_view name,
                         std::string_view category, double time,
                         EventArgs args) {
-  if (!sink_) return;
+  if (!enabled_) return;
   InstantEvent e;
   e.name = std::string(name);
   e.category = std::string(category);
@@ -81,27 +71,27 @@ void Collector::instant(int track, std::string_view name,
     std::lock_guard lock(mutex_);
     double& cursor = cursors_[track];
     cursor = std::max(cursor, time);
+    trace_.instants.push_back(std::move(e));
   }
-  sink_->on_instant(std::move(e));
 }
 
 void Collector::count(std::string_view name, double delta) {
-  if (!sink_) return;
+  if (!enabled_) return;
   metrics_.count(name, delta);
 }
 
 void Collector::gauge(std::string_view name, double value) {
-  if (!sink_) return;
+  if (!enabled_) return;
   metrics_.gauge(name, value);
 }
 
 void Collector::observe(std::string_view name, double value) {
-  if (!sink_) return;
+  if (!enabled_) return;
   metrics_.observe(name, value);
 }
 
 void Collector::enable_timeseries(double window_s, SketchConfig sketch) {
-  if (!sink_) return;
+  if (!enabled_) return;
   timeseries_ = std::make_unique<TimeSeries>(window_s, sketch);
 }
 
@@ -176,8 +166,8 @@ void Collector::close_span(int track, std::uint64_t id, double end) {
     if (e.id == 0) return;  // span was already closed
     double& cursor = cursors_[track];
     cursor = std::max(cursor, e.end());
+    trace_.spans.push_back(std::move(e));
   }
-  sink_->on_span(std::move(e));
 }
 
 void Collector::observe_host(const std::string& category, double seconds) {

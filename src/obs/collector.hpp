@@ -2,7 +2,7 @@
 
 /// \file collector.hpp
 /// \brief The span collector: RAII scoped spans, instant markers, metrics,
-///        and pluggable sinks.
+///        and the in-memory trace they land in.
 ///
 /// One Collector instruments one simulated run (a campaign cell).  All
 /// times are *simulated* seconds — the collector never reads a clock for
@@ -46,37 +46,6 @@ struct TraceData {
   void canonicalize();
 };
 
-/// Pluggable event consumer.  Implementations must tolerate concurrent
-/// calls when shared across threads (MemorySink locks; a streaming sink
-/// would too).
-class Sink {
- public:
-  virtual ~Sink() = default;
-  virtual void on_span(SpanEvent event) = 0;
-  virtual void on_instant(InstantEvent event) = 0;
-};
-
-/// Discards everything (an explicitly-constructed disabled pipeline).
-class NullSink final : public Sink {
- public:
-  void on_span(SpanEvent) override {}
-  void on_instant(InstantEvent) override {}
-};
-
-/// Stores events in memory; the standard sink for runs and tests.
-class MemorySink final : public Sink {
- public:
-  void on_span(SpanEvent event) override;
-  void on_instant(InstantEvent event) override;
-
-  /// Moves the collected events out (canonicalized).
-  TraceData take();
-
- private:
-  mutable std::mutex mutex_;
-  TraceData data_;
-};
-
 class SpanScope;
 
 /// The recording front end.  Disabled (default-constructed) collectors
@@ -86,12 +55,16 @@ class Collector {
   /// Disabled collector: records nothing, allocates nothing.
   Collector() = default;
 
-  /// Collector feeding \p sink; a null sink yields a disabled collector
-  /// (same as default construction), so call sites can build one
-  /// conditionally in a single expression.
-  explicit Collector(std::shared_ptr<Sink> sink);
+  /// Recording collector when \p record is true; otherwise the same
+  /// disabled collector as default construction, so call sites can build
+  /// one conditionally in a single expression.
+  explicit Collector(bool record) : enabled_(record) {}
 
-  bool enabled() const noexcept { return sink_ != nullptr; }
+  bool enabled() const noexcept { return enabled_; }
+
+  /// Moves the recorded spans and instants out in canonical order (see
+  /// events.hpp) and leaves the store empty.
+  TraceData take_trace();
 
   /// Records a completed span.  The parent is the innermost open
   /// SpanScope on the same track (0 if none).
@@ -153,10 +126,11 @@ class Collector {
   void close_span(int track, std::uint64_t id, double end);
   void observe_host(const std::string& category, double seconds);
 
-  std::shared_ptr<Sink> sink_;  ///< null = disabled
+  bool enabled_ = false;
   Metrics metrics_;
   std::unique_ptr<TimeSeries> timeseries_;  ///< null = telemetry off
   mutable std::mutex mutex_;
+  TraceData trace_;  ///< recorded events, in emission order
   std::map<int, std::vector<OpenSpan>> open_;  ///< per-track span stacks
   std::map<int, double> cursors_;
   std::map<std::string, sim::RunningStats> host_stats_;

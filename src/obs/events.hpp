@@ -47,7 +47,8 @@ struct InstantEvent {
 /// Canonical event order: by track, then start time, then longest-first
 /// (so parents sort before their children), then emission id.  Sorting a
 /// span set into this order makes serialization independent of the order
-/// concurrent producers happened to emit in.
+/// concurrent producers happened to emit in; Collector::take_trace()
+/// returns its events in this order.
 bool span_before(const SpanEvent& a, const SpanEvent& b) noexcept;
 bool instant_before(const InstantEvent& a, const InstantEvent& b) noexcept;
 

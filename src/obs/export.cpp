@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 
 #include "sim/csv.hpp"
 
@@ -104,8 +103,8 @@ void ChromeTraceWriter::process_name(int pid, const std::string& name) {
 
 void ChromeTraceWriter::add(const TraceData& data, int pid,
                             double time_offset_s) {
-  // Traces from MemorySink::take() are canonical and are written in
-  // place; any other order is written from a canonicalized copy.
+  // Traces from Collector::take_trace() are canonical and are written
+  // in place; any other order is written from a canonicalized copy.
   if (!std::is_sorted(data.spans.begin(), data.spans.end(), span_before) ||
       !std::is_sorted(data.instants.begin(), data.instants.end(),
                       instant_before)) {
@@ -168,14 +167,6 @@ void write_chrome_trace(std::ostream& out, const TraceData& data,
   w.process_name(0, process);
   w.add(data, 0);
   w.finish();
-}
-
-bool save_chrome_trace(const std::string& path, const TraceData& data,
-                       const std::string& process) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out, data, process);
-  return out.good();
 }
 
 void write_phase_csv(std::ostream& out, const TraceData& data) {

@@ -37,8 +37,8 @@ class ChromeTraceWriter {
   /// timestamp (used to lay independent timebases end-to-end).
   ///
   /// Cost: one is_sorted pass per event set, then one formatted write per
-  /// event.  A canonical \p data (what MemorySink::take() returns) is
-  /// never copied; any other is copied and canonicalized first.
+  /// event.  A canonical \p data (what Collector::take_trace() returns)
+  /// is never copied; any other is copied and canonicalized first.
   void add(const TraceData& data, int pid, double time_offset_s = 0.0);
 
   /// Closes the JSON document; further calls are invalid.  Idempotent.
@@ -55,8 +55,6 @@ class ChromeTraceWriter {
 /// Convenience: one run's trace as a complete JSON document.
 void write_chrome_trace(std::ostream& out, const TraceData& data,
                         const std::string& process = "run");
-bool save_chrome_trace(const std::string& path, const TraceData& data,
-                       const std::string& process = "run");
 
 /// Paraver-style flat CSV ("track,category,name,start,duration") of the
 /// span set, in canonical order.

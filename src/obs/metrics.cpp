@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "obs/export.hpp"
 
@@ -122,13 +121,6 @@ void Metrics::write_json(std::ostream& out) const {
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
-}
-
-bool Metrics::save_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_json(out);
-  return out.good();
 }
 
 }  // namespace hpcs::obs

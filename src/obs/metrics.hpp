@@ -59,7 +59,6 @@ class Metrics {
   /// ..., "histograms": ...}), keys sorted, %.17g numbers — byte-stable
   /// for identical contents.
   void write_json(std::ostream& out) const;
-  bool save_json(const std::string& path) const;
 
  private:
   mutable std::mutex mutex_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -212,14 +211,6 @@ void TimeSeries::write_csv(std::ostream& out, const std::string& scope) const {
   write_csv_rows(csv, scope);
 }
 
-bool TimeSeries::save_csv(const std::string& path,
-                          const std::string& scope) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_csv(out, scope);
-  return out.good();
-}
-
 void TimeSeries::write_json(std::ostream& out) const {
   std::lock_guard lock(mutex_);
   out << "{\n  \"schema\": \"hpcs-timeseries-v1\",\n  \"window_s\": "
@@ -273,13 +264,6 @@ void TimeSeries::write_json(std::ostream& out) const {
     first_series = false;
   }
   out << (first_series ? "" : "\n  ") << "}\n}\n";
-}
-
-bool TimeSeries::save_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_json(out);
-  return out.good();
 }
 
 TimeSeries TimeSeries::from_json(const JsonValue& doc) {

@@ -90,14 +90,11 @@ class TimeSeries {
   static std::vector<std::string> csv_header();
   void write_csv_rows(sim::CsvWriter& csv, const std::string& scope) const;
   void write_csv(std::ostream& out, const std::string& scope = "run") const;
-  bool save_csv(const std::string& path,
-                const std::string& scope = "run") const;
 
   /// "hpcs-timeseries-v1" JSON document: window width, sketch layout, and
   /// the three series sections; keys sorted, %.17g numbers — byte-stable
   /// for identical contents and round-trippable via from_json().
   void write_json(std::ostream& out) const;
-  bool save_json(const std::string& path) const;
 
   /// Rebuilds a store from a parsed "hpcs-timeseries-v1" document.
   /// \throws std::invalid_argument on schema mismatch.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -88,9 +87,7 @@ SchedCellResult run_sched_cell(const SchedGridSpec& spec,
   fault::HazardSchedule hazards =
       hazard_injector.schedule(run_horizon(jobs, config), config.nodes);
 
-  const std::shared_ptr<obs::MemorySink> sink =
-      observe ? std::make_shared<obs::MemorySink>() : nullptr;
-  obs::Collector collector(sink);  // null sink = disabled, zero cost
+  obs::Collector collector(observe);  // not observing = disabled, zero cost
   if (spec.timeseries_window_s > 0)
     collector.enable_timeseries(spec.timeseries_window_s);
 
@@ -110,7 +107,7 @@ SchedCellResult run_sched_cell(const SchedGridSpec& spec,
       obs::emit_slo_alerts(collector, 0, report);
   }
   if (observe) {
-    cell.trace = sink->take();
+    cell.trace = collector.take_trace();
     cell.metrics = collector.metrics();
   }
   return cell;

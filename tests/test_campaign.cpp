@@ -185,6 +185,18 @@ TEST(CampaignRunner, ResultsAreJobsInvariant) {
   EXPECT_EQ(r1.image_cache_hits, r4.image_cache_hits);
 }
 
+TEST(CampaignRunner, SummaryJsonIsByteIdenticalAcrossRuns) {
+  // The summary carries no host-clock field, so two runs of one spec at
+  // the same jobs count write the same bytes, like the CSV.
+  const auto spec = small_spec();
+  const hs::CampaignRunner runner(hs::CampaignOptions{.jobs = 2});
+  std::ostringstream first, second;
+  runner.run(spec).write_json(first);
+  runner.run(spec).write_json(second);
+  ASSERT_EQ(first.str(), second.str());
+  EXPECT_EQ(first.str().find("wall_time"), std::string::npos);
+}
+
 TEST(CampaignRunner, IsaMismatchFailsTheCellNotTheCampaign) {
   hs::CampaignSpec spec;
   spec.name = "isa-mismatch";

@@ -57,6 +57,19 @@ TEST(Cli, Errors) {
   EXPECT_THROW(parse({"--seed", "-3"}), std::invalid_argument);
 }
 
+TEST(Cli, TimelineIsSingleRunOnly) {
+  EXPECT_TRUE(parse({"--timeline"}).timeline);
+  try {
+    parse({"--campaign", "--timeline"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--timeline"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("single-run only"),
+              std::string::npos);
+  }
+  EXPECT_NE(hs::cli_usage().find("(single-run only)"), std::string::npos);
+}
+
 TEST(Cli, ClusterLookup) {
   EXPECT_EQ(hs::cluster_by_name("lenox").name, "Lenox");
   EXPECT_EQ(hs::cluster_by_name("mn4").name, "MareNostrum4");
@@ -197,6 +210,27 @@ TEST(CliProbe, ValidateGatesCampaignOutputsOnCampaignMode) {
   EXPECT_THROW(hs::validate_output_paths(t), std::invalid_argument);
   auto m = parse({"--campaign", "--metrics-out", "/dev/null/x/m.json"});
   EXPECT_THROW(hs::validate_output_paths(m), std::invalid_argument);
+}
+
+TEST(CliProbe, ValidateProbesTheTimeseriesJsonSibling) {
+  // --timeseries-out PATH also writes PATH.json; an unwritable sibling
+  // must fail at parse time, before the run, and leave PATH unwritten.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hpcs_cli_ts_sibling";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "ts.csv.json");
+  const auto o = parse({"--campaign", "--timeseries-out",
+                        (dir / "ts.csv").string().c_str()});
+  try {
+    hs::validate_output_paths(o);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--timeseries-out"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("ts.csv.json"), std::string::npos);
+  }
+  EXPECT_FALSE(fs::exists(dir / "ts.csv"));
+  fs::remove_all(dir);
 }
 
 // --- Shared flag-value parsers (study_cli and the bench programs) -------

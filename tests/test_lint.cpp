@@ -165,6 +165,26 @@ TEST(LintRules, Hyg004AcceptsReferencesQueriesAndRunCells) {
   expect_findings("src/sched/fixture.cpp", "hyg004_good.cpp", {});
 }
 
+TEST(LintRules, Hyg005FlagsOfstreamConstructionOutsideTheWriter) {
+  const std::vector<Expected> each_construction = {
+      {7, "HYG-005"}, {9, "HYG-005"}, {10, "HYG-005"}, {11, "HYG-005"}};
+  expect_findings("src/obs/fixture.cpp", "hyg005_bad.cpp",
+                  each_construction);
+  expect_findings("bench/fixture.cpp", "hyg005_bad.cpp", each_construction);
+  expect_findings("examples/fixture.cpp", "hyg005_bad.cpp",
+                  each_construction);
+}
+
+TEST(LintRules, Hyg005ExemptsTheWriterTestsAndTools) {
+  expect_findings("src/core/cli.cpp", "hyg005_bad.cpp", {});
+  expect_findings("tests/fixture.cpp", "hyg005_bad.cpp", {});
+  expect_findings("tools/hpcs-report/fixture.cpp", "hyg005_bad.cpp", {});
+}
+
+TEST(LintRules, Hyg005AcceptsStreamParametersReadsAndSaveOutputs) {
+  expect_findings("examples/fixture.cpp", "hyg005_good.cpp", {});
+}
+
 TEST(LintRules, Det005FlagsUnorderedIterationReachingEmitters) {
   expect_findings("src/core/stats.cpp", "det005_bad.cpp",
                   {{9, "DET-005"}, {14, "DET-005"}, {20, "DET-005"}});

@@ -155,20 +155,48 @@ TEST(ObsSpans, PhaseDurationsSumToStepAndRun) {
 }
 
 TEST(ObsSpans, ScopeClosesAtCursorWhenNotClosedExplicitly) {
-  auto sink = std::make_shared<ho::MemorySink>();
-  ho::Collector col(sink);
+  ho::Collector col(true);
   {
     ho::SpanScope outer(col, 0, "outer", "test", 1.0);
     col.span(0, "child", "test", 1.0, 2.5);
     // No outer.close(): the destructor closes at the cursor (3.5).
   }
-  auto data = sink->take();
+  auto data = col.take_trace();
   ASSERT_EQ(data.spans.size(), 2u);
   // Canonical order puts the (longer) parent first.
   EXPECT_EQ(data.spans[0].name, "outer");
   EXPECT_DOUBLE_EQ(data.spans[0].start, 1.0);
   EXPECT_DOUBLE_EQ(data.spans[0].duration, 2.5);
   EXPECT_EQ(data.spans[1].parent, data.spans[0].id);
+}
+
+TEST(ObsSpans, TakeTraceReturnsCanonicalOrderAndEmptiesTheStore) {
+  ho::Collector col(true);
+  // Emitted out of canonical order: a later track, a later start, and a
+  // short span before the longer one that shares its start.
+  col.span(1, "late-track", "test", 0.0, 1.0);
+  col.span(0, "later", "test", 2.0, 1.0);
+  col.span(0, "short", "test", 0.0, 0.5);
+  col.span(0, "long", "test", 0.0, 3.0);
+  col.instant(1, "b", "test", 0.0);
+  col.instant(0, "z", "test", 1.0);
+  col.instant(0, "a", "test", 1.0);
+
+  const ho::TraceData data = col.take_trace();
+  std::vector<std::string> spans;
+  for (const auto& s : data.spans) spans.push_back(s.name);
+  EXPECT_EQ(spans, (std::vector<std::string>{"long", "short", "later",
+                                             "late-track"}));
+  std::vector<std::string> instants;
+  for (const auto& i : data.instants) instants.push_back(i.name);
+  EXPECT_EQ(instants, (std::vector<std::string>{"a", "z", "b"}));
+
+  EXPECT_TRUE(col.take_trace().empty());
+  // The store refills after a take; ids keep counting from the last one.
+  col.span(0, "again", "test", 0.0, 1.0);
+  const ho::TraceData again = col.take_trace();
+  ASSERT_EQ(again.spans.size(), 1u);
+  EXPECT_EQ(again.spans[0].id, 5u);
 }
 
 // --- Metrics algebra --------------------------------------------------------
@@ -324,8 +352,10 @@ TEST(ObsDisabled, RecordsNothingAndCostsNoState) {
   EXPECT_DOUBLE_EQ(col.cursor(0), 0.0);
   EXPECT_TRUE(col.host_stats().empty());
 
-  ho::Collector null_sink_col{std::shared_ptr<ho::Sink>{}};
-  EXPECT_FALSE(null_sink_col.enabled());
+  EXPECT_TRUE(col.take_trace().empty());
+
+  ho::Collector off{false};
+  EXPECT_FALSE(off.enabled());
 }
 
 TEST(ObsDisabled, ObserveFlagDoesNotPerturbResults) {
@@ -384,12 +414,11 @@ TEST(ObsCampaign, TraceJsonEscapesHostileNames) {
   // Span, instant, and process names with quotes/backslashes/control
   // characters must survive a JSON round-trip — the same guarantee the
   // smoke ctests' string(JSON) check asserts on real traces.
-  auto sink = std::make_shared<ho::MemorySink>();
-  ho::Collector col(sink);
+  ho::Collector col(true);
   col.span(0, "na\"me\\with\njunk", "cat\tegory", 0.0, 1.0);
   col.instant(0, "instant\r\"x\"", "t", 0.5);
   std::ostringstream out;
-  ho::write_chrome_trace(out, sink->take(), "proc \"0\"\\cell");
+  ho::write_chrome_trace(out, col.take_trace(), "proc \"0\"\\cell");
 
   const auto doc = ho::parse_json(out.str());
   const auto& events = doc.at("traceEvents");
@@ -530,8 +559,8 @@ TEST(ChromeTrace, BytesMatchSnprintfReference) {
   marked.args = {{"attempt", "2"}};
   unsorted.instants.push_back(marked);
 
-  // The same events already in canonical order, as MemorySink::take()
-  // returns them.
+  // The same events already in canonical order, as
+  // Collector::take_trace() returns them.
   ho::TraceData canonical = unsorted;
   canonical.canonicalize();
 

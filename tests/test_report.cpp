@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/cli.hpp"
 #include "core/report.hpp"
 
 namespace hs = hpcs::study;
@@ -58,8 +59,13 @@ TEST(Figure, SaveCsvRoundTrip) {
   a.add("2", 1.5);
   a.add("4", 0.8);
   f.series = {a};
+  // The path bench_util::emit takes: Figure::write_csv through the shared
+  // artifact writer.
   const std::string path = "/tmp/hpcs_test_fig.csv";
-  ASSERT_TRUE(f.save_csv(path));
+  std::ostringstream log, err;
+  ASSERT_TRUE(hs::save_outputs(
+      {{path, [&](std::ostream& out) { f.write_csv(out); }}}, log, err));
+  EXPECT_EQ(log.str(), "[saved " + path + "]\n");
   std::ifstream in(path);
   std::string header, row1, row2;
   std::getline(in, header);
@@ -72,13 +78,23 @@ TEST(Figure, SaveCsvRoundTrip) {
 }
 
 TEST(Figure, SaveCsvFailsGracefully) {
+  // A figure with no series writes its header line alone.
   hs::Figure f;
-  f.series = {};
-  EXPECT_FALSE(f.save_csv("/tmp/whatever.csv"));
+  f.x_label = "nodes";
+  std::ostringstream empty;
+  f.write_csv(empty);
+  EXPECT_EQ(empty.str(), "nodes\n");
+  // An unwritable path is reported by name, and nothing is saved.
   hs::Series a{.name = "x"};
   a.add("1", 1.0);
   f.series = {a};
-  EXPECT_FALSE(f.save_csv("/nonexistent-dir/x.csv"));
+  std::ostringstream log, err;
+  EXPECT_FALSE(hs::save_outputs(
+      {{"/nonexistent-dir/x.csv",
+        [&](std::ostream& out) { f.write_csv(out); }}},
+      log, err));
+  EXPECT_EQ(log.str(), "");
+  EXPECT_EQ(err.str(), "error: cannot write '/nonexistent-dir/x.csv'\n");
 }
 
 TEST(SpeedupSeries, Fig3Math) {
@@ -108,16 +124,24 @@ TEST(Figure, GnuplotScript) {
   a.add("2", 1.0);
   b.add("2", 2.0);
   f.series = {a, b};
-  const std::string gp = "/tmp/hpcs_fig.gp";
-  ASSERT_TRUE(f.save_gnuplot(gp, "/tmp/hpcs_fig.csv"));
-  std::ifstream in(gp);
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  std::ostringstream out;
+  f.write_gnuplot(out, "/tmp/hpcs_fig.csv");
+  const std::string all = out.str();
+  EXPECT_EQ(all.rfind("# Generated by hpcs — render with: gnuplot "
+                      "/tmp/hpcs_fig.csv.gp\n",
+                      0),
+            0u);
   EXPECT_NE(all.find("set title \"Fig X\""), std::string::npos);
+  EXPECT_NE(all.find("set output \"/tmp/hpcs_fig.csv.png\""),
+            std::string::npos);
+  EXPECT_NE(all.find("plot '/tmp/hpcs_fig.csv' using 0:2"),
+            std::string::npos);
   EXPECT_NE(all.find("title \"bm\""), std::string::npos);
   EXPECT_NE(all.find("title \"docker\""), std::string::npos);
   EXPECT_NE(all.find("using 0:3"), std::string::npos);
-  std::remove(gp.c_str());
-  hs::Figure empty;
-  EXPECT_FALSE(empty.save_gnuplot("/tmp/x.gp", "x.csv"));
+  EXPECT_EQ(all.back(), '\n');
+  // No series, no plot command.
+  std::ostringstream empty;
+  hs::Figure().write_gnuplot(empty, "x.csv");
+  EXPECT_EQ(empty.str().find("\nplot "), std::string::npos);
 }

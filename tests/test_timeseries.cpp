@@ -457,10 +457,9 @@ TEST(Slo, EmitAlertsStampsPairedInstantsOnTheTrace) {
   report.spec.name = "svc-latency";
   report.alerts.push_back(ho::SloAlert{120.0, 300.0, 12.5});
 
-  auto sink = std::make_shared<ho::MemorySink>();
-  ho::Collector collector(sink);
+  ho::Collector collector(true);
   ho::emit_slo_alerts(collector, 3, report);
-  const ho::TraceData data = sink->take();
+  const ho::TraceData data = collector.take_trace();
   ASSERT_EQ(data.instants.size(), 2u);
   EXPECT_EQ(data.instants[0].name, "slo-alert-start");
   EXPECT_EQ(data.instants[0].category, "slo");
@@ -487,10 +486,8 @@ TEST(CollectorTelemetry, OffByDefaultAndInertWhenDisabled) {
 
   // An enabled collector still records no telemetry until opted in, and
   // the ts_* calls leave the trace and metrics streams untouched.
-  auto plain_sink = std::make_shared<ho::MemorySink>();
-  auto telemetry_sink = std::make_shared<ho::MemorySink>();
-  ho::Collector plain(plain_sink);
-  ho::Collector telemetry(telemetry_sink);
+  ho::Collector plain(true);
+  ho::Collector telemetry(true);
   telemetry.enable_timeseries(60.0);
   EXPECT_FALSE(plain.timeseries_enabled());
   EXPECT_TRUE(telemetry.timeseries_enabled());
@@ -508,8 +505,8 @@ TEST(CollectorTelemetry, OffByDefaultAndInertWhenDisabled) {
 
   std::ostringstream a;
   std::ostringstream b;
-  ho::write_chrome_trace(a, plain_sink->take());
-  ho::write_chrome_trace(b, telemetry_sink->take());
+  ho::write_chrome_trace(a, plain.take_trace());
+  ho::write_chrome_trace(b, telemetry.take_trace());
   EXPECT_EQ(a.str(), b.str());  // telemetry never leaks into the trace
   std::ostringstream ma;
   std::ostringstream mb;
@@ -611,8 +608,7 @@ TEST(SloGateway, BrownoutBurnsTheLatencyBudgetOverTheHazardWindow) {
   const hg::ImageCatalog catalog(workload, root);
   hg::ArrivalProcess arrivals(workload, root);
 
-  auto sink = std::make_shared<ho::MemorySink>();
-  ho::Collector collector(sink);
+  ho::Collector collector(true);
   collector.enable_timeseries(60.0);
 
   hg::GatewayService service(config, hc::RuntimeKind::Shifter, catalog,
@@ -644,8 +640,7 @@ TEST(SloGateway, BrownoutBurnsTheLatencyBudgetOverTheHazardWindow) {
   // The detection is honest: outside hazard windows the same SLO holds
   // (the identical service without the hazard never pages).
   hg::ArrivalProcess calm_arrivals(workload, root);
-  auto calm_sink = std::make_shared<ho::MemorySink>();
-  ho::Collector calm_collector(calm_sink);
+  ho::Collector calm_collector(true);
   calm_collector.enable_timeseries(60.0);
   hg::GatewayService calm(config, hc::RuntimeKind::Shifter, catalog,
                           hf::FaultInjector(hf::FaultSpec{}, 7),

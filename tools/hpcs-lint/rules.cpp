@@ -166,13 +166,13 @@ std::string word_before(const std::string& code, std::size_t end) {
   return code.substr(b, end - b);
 }
 
-/// HYG-004: does the `TaskPool` mention spanning [begin, end) construct
-/// one?  A declarator (`TaskPool pool(4)`), a temporary (`TaskPool(4)`,
-/// `TaskPool{4}`), `new TaskPool` and `make_unique/make_shared<TaskPool>`
-/// do; `TaskPool::Stats`, `TaskPool&`, `TaskPool*` and a forward
-/// declaration do not.
-bool constructs_task_pool(const std::string& code, std::size_t begin,
-                          std::size_t end) {
+/// HYG-004/005: does the type mention spanning [begin, end) construct
+/// an object?  A declarator (`TaskPool pool(4)`), a temporary
+/// (`TaskPool(4)`, `TaskPool{4}`), `new TaskPool` and
+/// `make_unique/make_shared<TaskPool>` do; `TaskPool::Stats`,
+/// `TaskPool&`, `TaskPool*` and a forward declaration do not.
+bool constructs(const std::string& code, std::size_t begin,
+                std::size_t end) {
   std::size_t b = begin;  // step left over `ns::` qualifiers
   for (;;) {
     while (b > 0 && code[b - 1] == ' ') --b;
@@ -276,6 +276,10 @@ const std::vector<RuleInfo>& rule_catalog() {
        "no study::TaskPool construction outside the grid runner "
        "(src/core/grid.cpp) and the pool itself; grids fan out through "
        "run_cells (tests exempt)"},
+      {"HYG-005",
+       "no std::ofstream construction in src/, bench/ or examples/ "
+       "outside the artifact writer (src/core/cli.cpp); programs save "
+       "through study::save_outputs"},
       {"LNT-901", "inline suppressions must carry a written reason"},
       {"LNT-902", "inline suppressions must name a known rule"},
   };
@@ -309,6 +313,9 @@ const std::vector<AllowEntry>& builtin_allowlist() {
       {"src/core/grid.cpp", "HYG-004",
        "run_cells: the one grid runner, which owns the fan-out behind "
        "every study's keyed-grid contract"},
+      {"src/core/cli.cpp", "HYG-005",
+       "probe_output_paths and save_outputs: the one module that opens "
+       "artifact files and checks that they reached disk"},
       {"src/sim/rng.hpp", "DET-002",
        "the deterministic RNG facility every other module must use"},
       {"src/sim/rng.cpp", "DET-002",
@@ -437,10 +444,16 @@ std::vector<Finding> lint_file(const ScannedFile& f) {
               "direct console I/O ('" + name + "') in library code");
       }
       if (cls != FileClass::Test && name == "TaskPool" &&
-          constructs_task_pool(code, pos, pos + name.size()))
+          constructs(code, pos, pos + name.size()))
         add(ln, "HYG-004",
             "TaskPool constructed outside src/core/grid.cpp; fan out "
             "through study::run_cells");
+      if ((cls == FileClass::Library || cls == FileClass::Bench ||
+           cls == FileClass::Example) &&
+          name == "ofstream" && constructs(code, pos, pos + name.size()))
+        add(ln, "HYG-005",
+            "std::ofstream constructed outside src/core/cli.cpp; save "
+            "artifacts through study::save_outputs");
     });
   }
   if (header && !has_pragma_once)

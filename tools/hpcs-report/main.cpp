@@ -67,9 +67,9 @@ bool write_output(const std::string& path,
     return true;
   }
   std::ofstream out(path);
-  if (!out) return false;
-  writer(out);
-  return out.good();
+  if (out) writer(out);
+  out.close();  // a failed open, write or final flush all fail here
+  return !out.fail();
 }
 
 std::string fmt(double v, int digits) {

@@ -4,9 +4,9 @@
 // bench supplies its axis flags, their usage lines and its table; this
 // header owns the parse loop (--help/-h exits 0, a bad command line
 // prints "error: ..." and exits 2), the flags --jobs, --csv, --trace-out,
-// --metrics-out and --seed (plus --timeseries-out, --timeseries-json and
-// --window when the spec has a timeseries_window_s field), the output
-// probe, the observe rule, the artifact list and the elapsed-time line.
+// --metrics-out and --seed (plus --timeseries-out and --window when the
+// spec has a timeseries_window_s field), the output probe, the observe
+// rule, the artifact list and the elapsed-time line.
 // That line is the only wall-clock use (lint-allowlisted); it is printed
 // after the grid completes and never reaches an artifact.
 
@@ -24,7 +24,7 @@
 
 namespace hpcs::bench {
 
-/// Grid specs with windowed telemetry take the three time-series flags.
+/// Grid specs with windowed telemetry take the two time-series flags.
 template <class Spec>
 concept TimeseriesSpec = requires(Spec& spec) {
   spec.timeseries_window_s = 1.0;
@@ -77,15 +77,16 @@ class GridCli {
           throw std::invalid_argument("unknown flag '" + flag + "'");
       }
       if constexpr (TimeseriesSpec<Spec>) {
-        if (!timeseries_path_.empty() || !timeseries_json_path_.empty())
-          spec_.timeseries_window_s = window_s_;
+        if (!timeseries_path_.empty()) spec_.timeseries_window_s = window_s_;
       }
       spec_.validate();
       study::probe_output_paths({{"--csv", csv_path_},
                                  {"--trace-out", trace_path_},
                                  {"--metrics-out", metrics_path_},
                                  {"--timeseries-out", timeseries_path_},
-                                 {"--timeseries-json", timeseries_json_path_}});
+                                 {"--timeseries-out",
+                                  study::timeseries_json_path(
+                                      timeseries_path_)}});
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 2;
@@ -98,8 +99,7 @@ class GridCli {
   template <class Run>
   auto run(const Run& run) {
     const bool observe = !trace_path_.empty() || !metrics_path_.empty() ||
-                         !timeseries_path_.empty() ||
-                         !timeseries_json_path_.empty();
+                         !timeseries_path_.empty();
     const auto start = std::chrono::steady_clock::now();
     auto grid = run(jobs_, observe);
     wall_s_ = std::chrono::duration<double>(
@@ -121,7 +121,8 @@ class GridCli {
       outputs.push_back({timeseries_path_, [&](std::ostream& o) {
                            grid.write_timeseries_csv(o);
                          }});
-      outputs.push_back({timeseries_json_path_, [&](std::ostream& o) {
+      outputs.push_back({study::timeseries_json_path(timeseries_path_),
+                         [&](std::ostream& o) {
                            grid.aggregate_timeseries().write_json(o);
                          }});
     }
@@ -150,8 +151,6 @@ class GridCli {
       return false;
     } else if (flag == "--timeseries-out") {
       timeseries_path_ = value();
-    } else if (flag == "--timeseries-json") {
-      timeseries_json_path_ = value();
     } else if (flag == "--window") {
       window_s_ = study::parse_double(flag, value());
       if (window_s_ <= 0)
@@ -175,8 +174,8 @@ class GridCli {
     if constexpr (TimeseriesSpec<Spec>)
       out +=
           "  --timeseries-out PATH windowed time-series CSV (enables "
-          "observability + temporal telemetry)\n"
-          "  --timeseries-json PATH aggregate hpcs-timeseries-v1 JSON "
+          "observability + temporal telemetry); PATH.json gets\n"
+          "                       the aggregate hpcs-timeseries-v1 JSON "
           "(hpcs-report --timeseries/--slo input)\n"
           "  --window S           time-series window width in simulated "
           "seconds (default 60)\n";
@@ -190,7 +189,6 @@ class GridCli {
   std::string trace_path_;
   std::string metrics_path_;
   std::string timeseries_path_;
-  std::string timeseries_json_path_;
   double window_s_ = 60.0;
   double wall_s_ = 0.0;
   std::string help_;

@@ -45,7 +45,8 @@ int run_campaign(const hs::CliOptions& opts) {
             [&](std::ostream& o) { res.aggregate_metrics().write_json(o); }},
            {opts.timeseries_path,
             [&](std::ostream& o) { res.write_timeseries_csv(o); }},
-           {hs::timeseries_json_path(opts), [&](std::ostream& o) {
+           {hs::timeseries_json_path(opts.timeseries_path),
+            [&](std::ostream& o) {
               res.aggregate_timeseries().write_json(o);
             }}},
           std::cout, std::cerr))
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
               [&](std::ostream& o) { r.metrics.write_json(o); }},
              {opts.timeseries_path,
               [&](std::ostream& o) { r.timeseries.write_csv(o, r.label); }},
-             {hs::timeseries_json_path(opts),
+             {hs::timeseries_json_path(opts.timeseries_path),
               [&](std::ostream& o) { r.timeseries.write_json(o); }}},
             std::cout, std::cerr))
       return 1;

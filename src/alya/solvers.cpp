@@ -178,113 +178,4 @@ SolveStats conjugate_gradient(const CsrMatrix& A, std::span<const double> b,
   return stats;
 }
 
-SolveStats bicgstab(const CsrMatrix& A, std::span<const double> b,
-                    std::span<double> x, const SolverOptions& opts,
-                    ThreadPool* pool) {
-  opts.validate();
-  const auto n = static_cast<std::size_t>(A.rows());
-  if (b.size() != n || x.size() != n)
-    throw std::invalid_argument("bicgstab: size mismatch");
-
-  SolveStats stats;
-  Accounting acct{A, stats, static_cast<double>(n)};
-
-  std::vector<double> diag_inv;
-  if (opts.use_jacobi) {
-    diag_inv = A.diagonal();
-    for (auto& d : diag_inv) {
-      if (d == 0.0) throw std::runtime_error("bicgstab: zero diagonal");
-      d = 1.0 / d;
-    }
-  }
-  auto precond_inplace = [&](std::span<double> v) {
-    if (opts.use_jacobi)
-      for (std::size_t i = 0; i < n; ++i) v[i] *= diag_inv[i];
-    acct.pointwise();
-  };
-
-  std::vector<double> r(n), r0(n), p(n), v(n), s(n), t(n), ph(n), sh(n);
-  A.spmv(x, r, pool);
-  acct.spmv();
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  acct.axpy();
-  r0 = r;
-
-  const double bnorm = norm2(b, pool);
-  acct.dot();
-  if (bnorm == 0.0) {
-    std::fill(x.begin(), x.end(), 0.0);
-    stats.converged = true;
-    return stats;
-  }
-
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  std::fill(p.begin(), p.end(), 0.0);
-  std::fill(v.begin(), v.end(), 0.0);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    const double rho_new = dot(r0, r, pool);
-    acct.dot();
-    if (rho_new == 0.0) break;  // breakdown
-    const double beta = (rho_new / rho) * (alpha / omega);
-    rho = rho_new;
-    // p = r + beta (p - omega v)
-    for (std::size_t i = 0; i < n; ++i)
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    acct.axpy();
-    acct.axpy();
-
-    ph = p;
-    precond_inplace(ph);
-    A.spmv(ph, v, pool);
-    acct.spmv();
-    const double r0v = dot(r0, v, pool);
-    acct.dot();
-    if (r0v == 0.0) break;
-    alpha = rho / r0v;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    acct.axpy();
-
-    const double snorm = norm2(s, pool);
-    acct.dot();
-    if (snorm / bnorm < opts.rel_tolerance) {
-      axpy(alpha, ph, x, pool);
-      acct.axpy();
-      stats.iterations = it + 1;
-      stats.final_relative_residual = snorm / bnorm;
-      stats.converged = true;
-      return stats;
-    }
-
-    sh = s;
-    precond_inplace(sh);
-    A.spmv(sh, t, pool);
-    acct.spmv();
-    const double tt = dot(t, t, pool);
-    acct.dot();
-    const double ts = dot(t, s, pool);
-    acct.dot();
-    if (tt == 0.0) break;
-    omega = ts / tt;
-
-    axpy(alpha, ph, x, pool);
-    acct.axpy();
-    axpy(omega, sh, x, pool);
-    acct.axpy();
-    for (std::size_t i = 0; i < n; ++i) r[i] = s[i] - omega * t[i];
-    acct.axpy();
-
-    const double rnorm = norm2(r, pool);
-    acct.dot();
-    stats.iterations = it + 1;
-    stats.final_relative_residual = rnorm / bnorm;
-    if (stats.final_relative_residual < opts.rel_tolerance) {
-      stats.converged = true;
-      return stats;
-    }
-    if (omega == 0.0) break;
-  }
-  return stats;
-}
-
 }  // namespace hpcs::alya

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file solvers.hpp
-/// \brief Krylov solvers (CG, BiCGSTAB) with Jacobi preconditioning and
+/// \brief The Krylov solver (CG) with Jacobi preconditioning and
 ///        full operation accounting.
 ///
 /// Alya's implicit stages (pressure Poisson, elasticity) are Krylov solves;
@@ -45,11 +45,6 @@ struct SolveStats {
 SolveStats conjugate_gradient(const CsrMatrix& A, std::span<const double> b,
                               std::span<double> x, const SolverOptions& opts,
                               ThreadPool* pool = nullptr);
-
-/// BiCGSTAB for nonsymmetric systems (advection-bearing operators).
-SolveStats bicgstab(const CsrMatrix& A, std::span<const double> b,
-                    std::span<double> x, const SolverOptions& opts,
-                    ThreadPool* pool = nullptr);
 
 // --- instrumented vector kernels (exposed for reuse & testing) -------------
 

@@ -144,12 +144,4 @@ IoResult IoSimulator::checkpoint_write(RuntimeKind runtime, int nodes,
   return r;
 }
 
-IoResult IoSimulator::restart_read(RuntimeKind runtime, int nodes,
-                                   int ranks_per_node,
-                                   std::uint64_t bytes_per_rank) const {
-  // Reads of bind-mounted PFS data are identical across runtimes.
-  return checkpoint_write(runtime, nodes, ranks_per_node, bytes_per_rank,
-                          /*inside_rootfs=*/false);
-}
-
 }  // namespace hpcs::container

@@ -21,8 +21,9 @@
 ///                    the PFS metadata server — the classic container I/O
 ///                    *win* this extension quantifies.
 ///
-/// Three canonical workloads are provided: the startup library-load storm,
-/// an N-rank checkpoint write, and a restart read.
+/// Two canonical workloads are provided: the startup library-load storm
+/// and an N-rank checkpoint write (a restart read of bind-mounted PFS
+/// data costs the same as the write).
 
 #include <cstdint>
 
@@ -95,10 +96,6 @@ class IoSimulator {
                             int ranks_per_node,
                             std::uint64_t bytes_per_rank,
                             bool inside_rootfs = false) const;
-
-  /// Restart read of the same data.
-  IoResult restart_read(RuntimeKind runtime, int nodes, int ranks_per_node,
-                        std::uint64_t bytes_per_rank) const;
 
   const PfsModel& pfs() const noexcept { return pfs_; }
 

@@ -307,8 +307,8 @@ bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
   return true;
 }
 
-std::string timeseries_json_path(const CliOptions& o) {
-  return o.timeseries_path.empty() ? "" : o.timeseries_path + ".json";
+std::string timeseries_json_path(const std::string& timeseries_path) {
+  return timeseries_path.empty() ? "" : timeseries_path + ".json";
 }
 
 void validate_output_paths(const CliOptions& o) {
@@ -316,7 +316,7 @@ void validate_output_paths(const CliOptions& o) {
       {"--trace-out", o.trace_path},
       {"--metrics-out", o.metrics_path},
       {"--timeseries-out", o.timeseries_path},
-      {"--timeseries-out", timeseries_json_path(o)}};
+      {"--timeseries-out", timeseries_json_path(o.timeseries_path)}};
   if (o.campaign) {
     outputs.push_back({"--csv", o.csv_path});
     outputs.push_back({"--json", o.json_path});

@@ -147,8 +147,9 @@ bool save_outputs(const std::vector<OutputFile>& outputs, std::ostream& log,
                   std::ostream& err);
 
 /// The aggregate hpcs-timeseries-v1 JSON that --timeseries-out PATH also
-/// writes: PATH.json, or "" when --timeseries-out is not given.
-std::string timeseries_json_path(const CliOptions& options);
+/// writes: PATH.json, or "" when \p timeseries_path is empty.  study_cli
+/// and the grid benches share this rule.
+std::string timeseries_json_path(const std::string& timeseries_path);
 
 /// Probes every output path the run will write: --trace-out,
 /// --metrics-out and --timeseries-out (with the PATH.json it also

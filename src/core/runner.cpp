@@ -245,8 +245,6 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
         t0 += t_interface * cpl;
       }
       step_scope.close(t0);
-      col.count("runner/steps");
-      col.observe("runner/step_time_s", step);
       // Windowed telemetry: a step lands in the window its start time
       // falls in, so solver slowdowns localize to the windows they cover.
       col.ts_count("runner/steps", step_start);
@@ -383,6 +381,10 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
   if (col.enabled()) {
     // Run-level metrics.  Gauges merge by max across campaign cells, so
     // only record values where "worst cell" is the meaningful aggregate.
+    // Step counts and times come from the run's own step book.
+    col.count("runner/steps",
+              static_cast<double>(result.step_times.count()));
+    col.observe("runner/step_time_s", result.step_times);
     col.gauge("runner/total_time_s", result.total_time);
     col.gauge("runner/avg_step_time_s", result.avg_step_time);
     col.gauge("runner/comm_fraction", result.comm_fraction);
@@ -393,8 +395,8 @@ RunResult ExperimentRunner::run(const Scenario& scenario,
               static_cast<double>(result.deployment.bytes_transferred));
     col.count("deploy/pull_retries",
               static_cast<double>(result.deployment.pull_retries));
+    col.observe("deploy/node_ready_s", result.deployment.node_ready_times);
     for (double t : result.deployment.node_ready_times.values()) {
-      col.observe("deploy/node_ready_s", t);
       // Node readiness arrives at its own simulated time, so staging
       // waves show up window by window.
       col.ts_observe("deploy/node_ready_s", t, t);

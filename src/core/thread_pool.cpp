@@ -129,11 +129,6 @@ void TaskPool::wait_idle() {
   }
 }
 
-std::size_t TaskPool::steal_count() const noexcept {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->steals;
-}
-
 TaskPool::Stats TaskPool::stats() const {
   std::lock_guard lock(impl_->mutex);
   Stats s;

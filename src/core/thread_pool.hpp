@@ -45,9 +45,6 @@ class TaskPool {
   /// Rethrows the first exception a task threw; the pool remains usable.
   void wait_idle();
 
-  /// Successful steals since construction (scheduling diagnostic).
-  std::size_t steal_count() const noexcept;
-
   /// Scheduling-health snapshot.  Host-side diagnostics only: every field
   /// depends on worker count and timing, so callers must keep these out
   /// of jobs-invariant artifacts (the campaign surfaces them in a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace hpcs::gateway {
@@ -14,6 +15,37 @@ namespace {
 /// index, so draws are invariant under request sharding and `--jobs`.
 std::string tenant_stream(int tenant, const std::string& digest) {
   return "tenant/" + std::to_string(tenant) + "/" + digest;
+}
+
+/// Fills the gateway/* counters, gauges and histograms from \p s, once,
+/// at finish; every counter is present, zeros included.
+void publish(const GatewayStats& s, obs::Collector& c) {
+  const auto count = [&c](std::string_view name, std::uint64_t n) {
+    c.count(name, static_cast<double>(n));
+  };
+  count("gateway/arrivals", s.arrivals);
+  count("gateway/hits_local", s.cache.local_hits);
+  count("gateway/hits_shared", s.cache.shared_hits);
+  count("gateway/misses", s.cache.misses);
+  count("gateway/failed", s.failed);
+  count("gateway/rejected_queue", s.rejected_queue);
+  count("gateway/rejected_admission", s.rejected_admission);
+  count("gateway/deadline_sheds", s.deadline_sheds);
+  count("gateway/breaker_fastfail", s.breaker_fastfail);
+  count("gateway/stale_served", s.stale_served);
+  count("gateway/coalesced", s.coalesced);
+  count("gateway/upstream_fetches", s.upstream_fetches);
+  count("gateway/upstream_retries", s.upstream_retries);
+  count("gateway/worker_crashes", s.worker_crashes);
+  count("gateway/hedged_fetches", s.hedged_fetches);
+  count("gateway/hedge_wins", s.hedge_wins);
+  c.gauge("gateway/max_queue_depth", static_cast<double>(s.max_queue_depth));
+  c.gauge("gateway/max_outstanding", static_cast<double>(s.max_outstanding));
+  c.gauge("gateway/breaker_opens", static_cast<double>(s.breaker_opens));
+  c.gauge("gateway/hedge_wasted_s", s.hedge_wasted_s);
+  c.gauge("gateway/wasted_work_s", s.wasted_work_s);
+  c.observe("gateway/start_latency_s", s.start_latency);
+  c.observe("gateway/queue_wait_s", s.queue_wait);
 }
 
 }  // namespace
@@ -29,7 +61,7 @@ GatewayService::GatewayService(GatewayConfig config,
       catalog_(catalog),
       injector_(std::move(injector)),
       horizon_s_(horizon_s),
-      collector_(collector),
+      collector_(collector && collector->enabled() ? collector : nullptr),
       cache_(config_.local_cache_bytes, config_.shared_cache_bytes),
       breaker_(config_.breaker),
       hedge_(config_.hedge) {
@@ -70,9 +102,7 @@ void GatewayService::submit(const PullRequest& request) {
         "GatewayService: arrivals must be time-ordered");
   engine_.run_until(request.time);
   ++stats_.arrivals;
-  const bool record = collector_ && collector_->enabled();
-  if (record) {
-    collector_->count("gateway/arrivals");
+  if (collector_) {
     collector_->ts_count("gateway/arrivals", request.time);
     // Windowed state samples (per-window max): queue depth, outstanding
     // requests, and whether the breaker is open at this arrival.
@@ -99,12 +129,9 @@ void GatewayService::submit(const PullRequest& request) {
       latency = hazards_.stretched(request.time, latency);
     ++stats_.completed;
     stats_.start_latency.add(latency);
-    if (record) {
+    if (collector_) {
       collector_->span(0, "request", "gateway", request.time, latency,
                        {{"tier", std::string(to_string(tier))}});
-      collector_->count(tier == CacheTier::Local ? "gateway/hits_local"
-                                                 : "gateway/hits_shared");
-      collector_->observe("gateway/start_latency_s", latency);
       collector_->ts_count("gateway/cache_lookups", request.time);
       collector_->ts_count("gateway/cache_hits", request.time);
       collector_->ts_count("gateway/completed", request.time + latency);
@@ -115,8 +142,7 @@ void GatewayService::submit(const PullRequest& request) {
     }
     return;
   }
-  if (record) {
-    collector_->count("gateway/misses");
+  if (collector_) {
     collector_->ts_count("gateway/cache_lookups", request.time);
     collector_->ts_count("gateway/misses", request.time);
   }
@@ -125,9 +151,8 @@ void GatewayService::submit(const PullRequest& request) {
   // then single-flight coalescing, then the bounded conversion queue.
   if (outstanding_ >= static_cast<std::uint64_t>(config_.max_outstanding)) {
     ++stats_.rejected_admission;
-    if (record) {
+    if (collector_) {
       collector_->instant(0, "reject-admission", "gateway", request.time);
-      collector_->count("gateway/rejected_admission");
       collector_->ts_count("gateway/rejected_admission", request.time);
     }
     return;
@@ -155,9 +180,8 @@ void GatewayService::submit(const PullRequest& request) {
     }
     if (queue_.size() >= static_cast<std::size_t>(config_.queue_capacity)) {
       ++stats_.rejected_queue;
-      if (record) {
+      if (collector_) {
         collector_->instant(0, "reject-queue", "gateway", request.time);
-        collector_->count("gateway/rejected_queue");
         collector_->ts_count("gateway/rejected_queue", request.time);
       }
       return;
@@ -225,11 +249,7 @@ void GatewayService::start_next_job(int worker, double now) {
 
     const double wait = now - group.enqueued_at;
     stats_.queue_wait.add(wait);
-    const bool record = collector_ && collector_->enabled();
-    if (record) {
-      collector_->observe("gateway/queue_wait_s", wait);
-      collector_->ts_observe("gateway/queue_wait_s", now, wait);
-    }
+    if (collector_) collector_->ts_observe("gateway/queue_wait_s", now, wait);
 
     // Upstream fetch with per-tenant named retry streams: a failed
     // attempt wastes a drawn fraction of the transfer and pays the
@@ -276,7 +296,7 @@ void GatewayService::start_next_job(int worker, double now) {
       breaker_.on_failure(now);
     else
       breaker_.on_success();
-    if (record && breaker_.opens() > opens_before)
+    if (collector_ && breaker_.opens() > opens_before)
       collector_->ts_count("gateway/breaker_opens", now);
 
     stats_.upstream_retries += static_cast<std::uint64_t>(failures);
@@ -288,7 +308,7 @@ void GatewayService::start_next_job(int worker, double now) {
     const double service =
         exhausted ? fetch : fetch + conversion_.seconds(bytes);
     const double end = apply_crashes(worker, now, service);
-    if (record) {
+    if (collector_) {
       const int track = 1 + worker;
       const double final_start = end - service;
       collector_->span(track, "upstream-fetch", "registry", final_start,
@@ -296,8 +316,6 @@ void GatewayService::start_next_job(int worker, double now) {
       if (failures > 0) {
         collector_->instant(track, "pull-retry", "registry", final_start,
                             {{"failures", std::to_string(failures)}});
-        collector_->count("gateway/upstream_retries",
-                          static_cast<double>(failures));
         collector_->ts_count("gateway/upstream_retries", now,
                              static_cast<double>(failures));
       }
@@ -305,8 +323,6 @@ void GatewayService::start_next_job(int worker, double now) {
         collector_->instant(track,
                             race.hedge_won ? "hedge-win" : "hedge-cancel",
                             "registry", final_start, {{"digest", digest}});
-        collector_->count("gateway/hedged_fetches");
-        if (race.hedge_won) collector_->count("gateway/hedge_wins");
       }
       if (!exhausted)
         collector_->span(track, "convert", "deployment", final_start + fetch,
@@ -386,12 +402,9 @@ void GatewayService::serve_stale(const Waiter& waiter, std::uint64_t bytes,
   ++stats_.completed;
   ++stats_.stale_served;
   stats_.start_latency.add(now + latency - waiter.arrival);
-  if (collector_ && collector_->enabled()) {
+  if (collector_) {
     collector_->span(0, "request", "gateway", waiter.arrival,
                      now + latency - waiter.arrival, {{"tier", "stale"}});
-    collector_->count("gateway/stale_served");
-    collector_->observe("gateway/start_latency_s",
-                        now + latency - waiter.arrival);
     collector_->ts_count("gateway/stale_served", now);
     collector_->ts_count("gateway/completed", now + latency);
     collector_->ts_observe("gateway/start_latency_s", now + latency,
@@ -401,18 +414,16 @@ void GatewayService::serve_stale(const Waiter& waiter, std::uint64_t bytes,
 
 void GatewayService::shed_breaker(double now) {
   ++stats_.breaker_fastfail;
-  if (collector_ && collector_->enabled()) {
+  if (collector_) {
     collector_->instant(0, "breaker-shed", "gateway", now);
-    collector_->count("gateway/breaker_fastfail");
     collector_->ts_count("gateway/breaker_fastfail", now);
   }
 }
 
 void GatewayService::shed_deadline(double now) {
   ++stats_.deadline_sheds;
-  if (collector_ && collector_->enabled()) {
+  if (collector_) {
     collector_->instant(0, "deadline-shed", "gateway", now);
-    collector_->count("gateway/deadline_sheds");
     collector_->ts_count("gateway/deadline_sheds", now);
   }
 }
@@ -424,15 +435,13 @@ double GatewayService::apply_crashes(int worker, double start,
   std::size_t& cursor = crash_cursor_[static_cast<std::size_t>(worker)];
   while (cursor < times.size() && times[cursor] <= start) ++cursor;
   double t0 = start;
-  const bool record = collector_ && collector_->enabled();
   while (cursor < times.size() && times[cursor] < t0 + service_s) {
     const double crash = times[cursor++];
     ++stats_.worker_crashes;
     stats_.wasted_work_s += crash - t0;
-    if (record) {
+    if (collector_) {
       collector_->span(1 + worker, "worker-restart", "fault", crash,
                        config_.worker_recovery_s);
-      collector_->count("gateway/worker_crashes");
       collector_->ts_count("gateway/worker_crashes", crash);
     }
     // The job restarts from scratch once the worker recovers.
@@ -446,14 +455,11 @@ void GatewayService::complete_job(const std::string& digest, double end) {
   groups_.erase(digest);
   const std::uint64_t bytes = catalog_.bytes(group.image);
   outstanding_ -= group.waiters.size();
-  const bool record = collector_ && collector_->enabled();
   if (group.failed) {
     stats_.failed += group.waiters.size();
-    if (record) {
+    if (collector_) {
       collector_->instant(0, "group-failed", "gateway", end,
                           {{"digest", digest}});
-      collector_->count("gateway/failed",
-                        static_cast<double>(group.waiters.size()));
       collector_->ts_count("gateway/failed", end,
                            static_cast<double>(group.waiters.size()));
     }
@@ -474,18 +480,14 @@ void GatewayService::complete_job(const std::string& digest, double end) {
     const double latency = end + read - waiter.arrival;
     ++stats_.completed;
     stats_.start_latency.add(latency);
-    if (record) {
+    if (collector_) {
       collector_->span(0, "request", "gateway", waiter.arrival, latency,
                        {{"tier", "upstream"}});
-      collector_->observe("gateway/start_latency_s", latency);
       collector_->ts_count("gateway/completed", end + read);
       collector_->ts_observe("gateway/start_latency_s", end + read, latency);
     }
   }
-  if (record) {
-    collector_->count("gateway/upstream_fetches");
-    collector_->ts_count("gateway/upstream_fetches", end);
-  }
+  if (collector_) collector_->ts_count("gateway/upstream_fetches", end);
 }
 
 const GatewayStats& GatewayService::finish() {
@@ -494,30 +496,8 @@ const GatewayStats& GatewayService::finish() {
     finished_ = true;
     stats_.breaker_opens = breaker_.opens();
     stats_.cache = cache_.stats();
-    if (collector_ && collector_->enabled()) {
-      collector_->gauge("gateway/max_queue_depth",
-                        static_cast<double>(stats_.max_queue_depth));
-      collector_->gauge("gateway/max_outstanding",
-                        static_cast<double>(stats_.max_outstanding));
-      collector_->count("gateway/coalesced",
-                        static_cast<double>(stats_.coalesced));
-      // Zero-presence counters: shed/failure/retry outcomes show up in
-      // the metrics JSON even when they never fired, so dashboards and
-      // CI greps can always assert on them.
-      collector_->count("gateway/failed", 0.0);
-      collector_->count("gateway/rejected_queue", 0.0);
-      collector_->count("gateway/rejected_admission", 0.0);
-      collector_->count("gateway/upstream_retries", 0.0);
-      collector_->count("gateway/worker_crashes", 0.0);
-      collector_->count("gateway/deadline_sheds", 0.0);
-      collector_->count("gateway/breaker_fastfail", 0.0);
-      collector_->count("gateway/stale_served", 0.0);
-      collector_->count("gateway/hedged_fetches", 0.0);
-      collector_->count("gateway/hedge_wins", 0.0);
-      collector_->gauge("gateway/breaker_opens",
-                        static_cast<double>(stats_.breaker_opens));
-      collector_->gauge("gateway/hedge_wasted_s", stats_.hedge_wasted_s);
-      collector_->gauge("gateway/wasted_work_s", stats_.wasted_work_s);
+    if (collector_) {
+      publish(stats_, *collector_);
       if (hazards_.active()) {
         // Hazard windows on their own track so request spans keep their
         // parents; category "fault" routes them into the FaultRecovery

@@ -176,7 +176,7 @@ class GatewayService {
   const ImageCatalog& catalog_;
   fault::FaultInjector injector_;
   double horizon_s_;
-  obs::Collector* collector_;  ///< null or disabled = record nothing
+  obs::Collector* collector_;  ///< null unless recording
 
   sim::Engine engine_;  ///< worker completions
   TieredCache cache_;

@@ -15,15 +15,14 @@ int Collectives::ceil_log2(int n) noexcept {
   return l;
 }
 
-double Collectives::hierarchical(std::uint64_t bytes, bool down_phase) const {
+double Collectives::hierarchical(std::uint64_t bytes) const {
   const auto& map = cost_.mapping();
   const int intra_stages = ceil_log2(map.ranks_per_node());
   const int inter_stages = ceil_log2(map.nodes());
   double t = 0.0;
   t += static_cast<double>(intra_stages) * cost_.intranode_time(bytes);
   t += static_cast<double>(inter_stages) * cost_.internode_time(bytes, 1);
-  if (down_phase)
-    t += static_cast<double>(intra_stages) * cost_.intranode_time(bytes);
+  t += static_cast<double>(intra_stages) * cost_.intranode_time(bytes);
   return t;
 }
 
@@ -49,84 +48,7 @@ double Collectives::flat(std::uint64_t bytes) const {
 }
 
 double Collectives::allreduce(std::uint64_t bytes) const {
-  return topology_aware_ ? hierarchical(bytes, /*down_phase=*/true)
-                         : flat(bytes);
-}
-
-double Collectives::barrier() const { return allreduce(0); }
-
-double Collectives::bcast(std::uint64_t bytes) const {
-  return topology_aware_ ? hierarchical(bytes, /*down_phase=*/false)
-                         : flat(bytes);
-}
-
-double Collectives::reduce(std::uint64_t bytes) const {
-  return topology_aware_ ? hierarchical(bytes, /*down_phase=*/false)
-                         : flat(bytes);
-}
-
-double Collectives::alltoall(std::uint64_t bytes_per_pair) const {
-  const auto& map = cost_.mapping();
-  const int p = map.ranks();
-  const int rpn = map.ranks_per_node();
-  if (p < 2) return 0.0;
-  // Pairwise exchange: p-1 rounds; each rank has exactly rpn-1 partners
-  // on its own node, so rpn-1 rounds are intra-node and the rest cross
-  // the fabric with every rank of the node injecting simultaneously.
-  const int rounds = p - 1;
-  const int intra = std::min(rounds, rpn - 1);
-  const int inter = rounds - intra;
-  return static_cast<double>(intra) *
-             cost_.intranode_time(bytes_per_pair, rpn) +
-         static_cast<double>(inter) *
-             cost_.internode_time(bytes_per_pair, rpn);
-}
-
-double Collectives::reduce_scatter(std::uint64_t bytes) const {
-  const auto& map = cost_.mapping();
-  const int p = map.ranks();
-  if (p < 2) return 0.0;
-  // Recursive halving: log2(p) rounds, payload halves each round.
-  const int stages = ceil_log2(p);
-  const int rpn = map.ranks_per_node();
-  // Topology-aware libraries schedule the halving so that concurrent
-  // flows per NIC stay low; oblivious ones hit the NIC with all ranks.
-  const int flows = topology_aware_ ? 1 : rpn;
-  double t = 0.0;
-  std::uint64_t payload = bytes / 2;
-  for (int k = 0; k < stages; ++k) {
-    const long distance = 1L << (stages - 1 - k);  // far pairs first
-    if (map.nodes() > 1 && distance >= rpn)
-      t += cost_.internode_time(payload, flows);
-    else
-      t += cost_.intranode_time(payload, flows);
-    payload = std::max<std::uint64_t>(payload / 2, 1);
-  }
-  return t;
-}
-
-double Collectives::allgather(std::uint64_t bytes_per_rank) const {
-  const auto& map = cost_.mapping();
-  const int p = map.ranks();
-  const int rpn = map.ranks_per_node();
-  if (topology_aware_) {
-    // Ring: p-1 steps; one step per node boundary is inter-node.
-    const int inter_steps = map.nodes() - 1;
-    const int intra_steps = (p - 1) - inter_steps;
-    return static_cast<double>(intra_steps) *
-               cost_.intranode_time(bytes_per_rank) +
-           static_cast<double>(inter_steps) *
-               cost_.internode_time(bytes_per_rank, 1);
-  }
-  // Flat ring: placement-oblivious MPI still sends to rank+1, which under
-  // block placement is usually co-resident; boundary crossings carry all
-  // of a node's traffic concurrently.
-  const int inter_steps = map.nodes() - 1;
-  const int intra_steps = (p - 1) - inter_steps;
-  return static_cast<double>(intra_steps) *
-             cost_.intranode_time(bytes_per_rank) +
-         static_cast<double>(inter_steps) *
-             cost_.internode_time(bytes_per_rank, rpn);
+  return topology_aware_ ? hierarchical(bytes) : flat(bytes);
 }
 
 }  // namespace hpcs::mpi

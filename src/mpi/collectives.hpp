@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file collectives.hpp
-/// \brief Cost models for the MPI collectives the solver uses.
+/// \brief Cost model for the MPI collective the solver uses (allreduce).
 ///
 /// Two algorithm families are modeled:
 ///
@@ -32,33 +32,14 @@ class Collectives {
   /// MPI_Allreduce of \p bytes (the CG solver's dot products: 8-16 B).
   double allreduce(std::uint64_t bytes) const;
 
-  /// MPI_Barrier (dissemination; same stage structure as allreduce(0)).
-  double barrier() const;
-
-  /// MPI_Bcast of \p bytes from rank 0 (binomial tree).
-  double bcast(std::uint64_t bytes) const;
-
-  /// MPI_Allgather with \p bytes_per_rank contribution (ring).
-  double allgather(std::uint64_t bytes_per_rank) const;
-
-  /// MPI_Reduce of \p bytes to rank 0.
-  double reduce(std::uint64_t bytes) const;
-
-  /// MPI_Alltoall with \p bytes_per_pair per rank pair (pairwise-exchange
-  /// algorithm: p-1 rounds, every NIC saturated on inter-node rounds).
-  double alltoall(std::uint64_t bytes_per_pair) const;
-
-  /// MPI_Reduce_scatter of \p bytes total per rank (recursive halving).
-  double reduce_scatter(std::uint64_t bytes) const;
-
   bool topology_aware() const noexcept { return topology_aware_; }
 
  private:
   static int ceil_log2(int n) noexcept;
 
-  /// Hierarchical stage sums: intra-phase + leader-phase (+ optional
-  /// broadcast back down).
-  double hierarchical(std::uint64_t bytes, bool down_phase) const;
+  /// Hierarchical stage sums: intra-phase + leader-phase + broadcast
+  /// back down.
+  double hierarchical(std::uint64_t bytes) const;
 
   /// Flat recursive doubling: per stage the partner is 2^k ranks away;
   /// under block placement the stage is intra-node while 2^k < ranks/node,

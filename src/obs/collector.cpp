@@ -90,6 +90,11 @@ void Collector::observe(std::string_view name, double value) {
   metrics_.observe(name, value);
 }
 
+void Collector::observe(std::string_view name, const sim::Samples& samples) {
+  if (!enabled_) return;
+  metrics_.observe(name, samples);
+}
+
 void Collector::enable_timeseries(double window_s, SketchConfig sketch) {
   if (!enabled_) return;
   timeseries_ = std::make_unique<TimeSeries>(window_s, sketch);

@@ -29,6 +29,7 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/stats.hpp"
 
 namespace hpcs::obs {
 
@@ -79,6 +80,7 @@ class Collector {
   void count(std::string_view name, double delta = 1.0);
   void gauge(std::string_view name, double value);
   void observe(std::string_view name, double value);
+  void observe(std::string_view name, const sim::Samples& samples);
 
   /// The metrics registry accumulated so far.
   const Metrics& metrics() const noexcept { return metrics_; }

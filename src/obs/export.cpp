@@ -4,8 +4,6 @@
 #include <charconv>
 #include <cstdio>
 
-#include "sim/csv.hpp"
-
 namespace hpcs::obs {
 
 namespace {
@@ -167,16 +165,6 @@ void write_chrome_trace(std::ostream& out, const TraceData& data,
   w.process_name(0, process);
   w.add(data, 0);
   w.finish();
-}
-
-void write_phase_csv(std::ostream& out, const TraceData& data) {
-  TraceData sorted = data;
-  sorted.canonicalize();
-  sim::CsvWriter csv(out, {"track", "category", "name", "start", "duration"});
-  for (const auto& s : sorted.spans)
-    csv.row({sim::CsvWriter::cell(static_cast<long long>(s.track)),
-             s.category, s.name, sim::CsvWriter::cell(s.start),
-             sim::CsvWriter::cell(s.duration)});
 }
 
 namespace {

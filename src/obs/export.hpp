@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file export.hpp
-/// \brief Trace serializers: Chrome `chrome://tracing` JSON and
-///        Paraver-style phase CSV.
+/// \brief Serializers: Chrome `chrome://tracing` JSON for traces and
+///        Prometheus text exposition for time series.
 ///
 /// All writers emit events in canonical order (events.hpp) with fixed
 /// numeric formatting, so two structurally identical traces — e.g. the
@@ -55,10 +55,6 @@ class ChromeTraceWriter {
 /// Convenience: one run's trace as a complete JSON document.
 void write_chrome_trace(std::ostream& out, const TraceData& data,
                         const std::string& process = "run");
-
-/// Paraver-style flat CSV ("track,category,name,start,duration") of the
-/// span set, in canonical order.
-void write_phase_csv(std::ostream& out, const TraceData& data);
 
 /// Prometheus-style text exposition of a windowed time-series store:
 /// counters as `hpcs_<name>_total`, gauges as `hpcs_<name>`, sketches as

@@ -51,6 +51,13 @@ void Metrics::observe(std::string_view name, double value) {
   histograms_[std::string(name)].add(value);
 }
 
+void Metrics::observe(std::string_view name, const sim::Samples& samples) {
+  if (samples.empty()) return;
+  std::lock_guard lock(mutex_);
+  sim::RunningStats& histogram = histograms_[std::string(name)];
+  for (const double value : samples.values()) histogram.add(value);
+}
+
 void Metrics::merge(const Metrics& other) {
   if (this == &other) return;
   std::scoped_lock lock(mutex_, other.mutex_);

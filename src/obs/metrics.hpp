@@ -37,6 +37,9 @@ class Metrics {
 
   /// Feeds \p value into the named Welford histogram.
   void observe(std::string_view name, double value);
+  /// Feeds every value of \p samples, in insertion order, into the named
+  /// histogram; an empty sample set leaves the registry as it was.
+  void observe(std::string_view name, const sim::Samples& samples);
 
   /// Folds \p other in: counters add, histograms Welford-combine, gauges
   /// keep the maximum.  Associative and commutative except for gauge

@@ -1,6 +1,7 @@
 #include "sched/deploy.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 namespace hpcs::sched {
@@ -17,6 +18,19 @@ std::string convert_key(const std::string& digest,
 
 }  // namespace
 
+void publish(const DeployStats& stats, obs::Collector& collector) {
+  const auto count = [&collector](std::string_view name, std::uint64_t n) {
+    collector.count(name, static_cast<double>(n));
+  };
+  count("sched/deploy/upstream_fetch", stats.upstream_fetches);
+  count("sched/deploy/conversion", stats.conversions);
+  count("sched/deploy/coalesced", stats.coalesced);
+  count("sched/deploy/cache_local", stats.cache.local_hits);
+  count("sched/deploy/cache_shared", stats.cache.shared_hits);
+  collector.gauge("sched/max_active_transfers",
+                  static_cast<double>(stats.max_active_transfers));
+}
+
 DeployPipeline::DeployPipeline(sim::Engine& engine,
                                gateway::GatewayConfig config,
                                bool contention,
@@ -29,7 +43,7 @@ DeployPipeline::DeployPipeline(sim::Engine& engine,
       catalog_(catalog),
       hazards_(std::move(hazards)),
       on_ready_(std::move(on_ready)),
-      collector_(collector),
+      collector_(collector && collector->enabled() ? collector : nullptr),
       cache_(config.local_cache_bytes, config.shared_cache_bytes) {
   config_.validate();
   // Brownout windows change the shared-FS pool's bandwidth mid-transfer;
@@ -61,7 +75,6 @@ void DeployPipeline::start(int job, container::RuntimeKind runtime,
     // No shared cache to help: every node pulls the layers itself, then
     // unpacks into its local layer store.
     ++stats_.upstream_fetches;
-    if (collector_) collector_->count("sched/deploy/upstream_fetch");
     const double total = fbytes * static_cast<double>(nodes);
     const double unpack =
         gateway::conversion_model(runtime).seconds(bytes);
@@ -83,13 +96,11 @@ void DeployPipeline::start(int job, container::RuntimeKind runtime,
   const gateway::CacheTier tier = cache_.lookup(key, bytes);
   if (tier == gateway::CacheTier::Local) {
     stats_.bytes_transferred += bytes;
-    if (collector_) collector_->count("sched/deploy/cache_local");
     engine_.schedule_at(now + fbytes / config_.local_read_bw,
                         [this, job] { ready(job, engine_.now()); });
     return;
   }
   if (tier == gateway::CacheTier::SharedFS) {
-    if (collector_) collector_->count("sched/deploy/cache_shared");
     begin_transfer(Pool::SharedFs, fbytes, job, now,
                    [this, job](double done_at) { ready(job, done_at); });
     return;
@@ -104,11 +115,9 @@ void DeployPipeline::start(int job, container::RuntimeKind runtime,
   group.bytes = bytes;
   if (!leader) {
     ++stats_.coalesced;
-    if (collector_) collector_->count("sched/deploy/coalesced");
     return;
   }
   ++stats_.upstream_fetches;
-  if (collector_) collector_->count("sched/deploy/upstream_fetch");
   engine_.schedule_at(now + config_.upstream_latency_s, [this, key,
                                                          fbytes] {
     // Group-critical (owner -1): survives any single waiter's walltime
@@ -250,10 +259,8 @@ void DeployPipeline::run_conversion(const std::string& digest, double now) {
 void DeployPipeline::finish_conversion(const std::string& digest,
                                        double start, double now) {
   ++stats_.conversions;
-  if (collector_) {
+  if (collector_)
     collector_->span(0, "convert", "deployment", start, now - start);
-    collector_->count("sched/deploy/conversion");
-  }
   Group group = std::move(groups_.at(digest));
   groups_.erase(digest);
   cache_.install(digest, group.bytes);

@@ -61,6 +61,11 @@ struct DeployStats {
   gateway::CacheStats cache;
 };
 
+/// Fills \p collector's sched/deploy/* counters and the
+/// sched/max_active_transfers gauge from \p stats, once, when the run
+/// ends; every counter is present, zeros included.
+void publish(const DeployStats& stats, obs::Collector& collector);
+
 class DeployPipeline {
  public:
   /// Fired at the simulated time \p job's image is ready on every node.
@@ -140,7 +145,7 @@ class DeployPipeline {
   const gateway::ImageCatalog& catalog_;
   fault::HazardSchedule hazards_;
   ReadyFn on_ready_;
-  obs::Collector* collector_;  ///< null or disabled = record nothing
+  obs::Collector* collector_;  ///< null unless recording
 
   gateway::TieredCache cache_;
   std::map<std::uint64_t, Transfer> transfers_;

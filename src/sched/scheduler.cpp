@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace hpcs::sched {
@@ -13,6 +14,28 @@ namespace {
 SchedConfig validated(SchedConfig config) {
   config.validate();
   return config;
+}
+
+/// Fills the sched/* counters, gauges and histograms from \p s, once,
+/// when the run ends; every counter is present, zeros included.
+void publish(const SchedStats& s, obs::Collector& c) {
+  const auto count = [&c](std::string_view name, std::uint64_t n) {
+    c.count(name, static_cast<double>(n));
+  };
+  count("sched/submitted", s.submitted);
+  count("sched/completed", s.completed);
+  count("sched/failed", s.failed);
+  count("sched/shed", s.shed);
+  count("sched/timeout", s.timeouts);
+  count("sched/requeue", s.requeues);
+  count("sched/crash", s.crashes);
+  count("sched/backfill_start", s.backfill_starts);
+  c.gauge("sched/utilization", s.utilization);
+  c.gauge("sched/makespan_s", s.makespan_s);
+  c.observe("sched/queue_wait_s", s.queue_wait_s);
+  c.observe("sched/deploy_s", s.deploy_s);
+  c.observe("sched/start_latency_s", s.start_latency_s);
+  publish(s.deploy, c);
 }
 
 }  // namespace
@@ -60,12 +83,12 @@ BatchScheduler::BatchScheduler(SchedConfig config, std::vector<JobSpec> jobs,
       catalog_(catalog),
       faults_(std::move(faults)),
       hazards_(std::move(hazards)),
-      collector_(collector),
+      collector_(collector && collector->enabled() ? collector : nullptr),
       pipeline_(
           engine_, config_.gateway, config_.gateway_enabled, catalog_,
           hazards_,
           [this](int job, double now) { on_deploy_ready(job, now); },
-          collector) {
+          collector_) {
   records_.reserve(jobs.size());
   for (JobSpec& spec : jobs) {
     JobRecord record;
@@ -75,23 +98,9 @@ BatchScheduler::BatchScheduler(SchedConfig config, std::vector<JobSpec> jobs,
   runtime_.assign(records_.size(), JobRuntime{});
 }
 
-void BatchScheduler::register_metrics() {
-  if (!collector_) return;
-  // Zero-presence: every counter exists (at 0) even on runs that never
-  // hit its path, so dashboards and diffs see stable schemas.
-  for (const char* name :
-       {"sched/submitted", "sched/completed", "sched/failed", "sched/shed",
-        "sched/timeout", "sched/requeue", "sched/crash",
-        "sched/backfill_start", "sched/deploy/upstream_fetch",
-        "sched/deploy/conversion", "sched/deploy/coalesced",
-        "sched/deploy/cache_local", "sched/deploy/cache_shared"})
-    collector_->count(name, 0.0);
-}
-
 SchedResult BatchScheduler::run() {
   if (ran_) throw std::logic_error("BatchScheduler: run() is single-shot");
   ran_ = true;
-  register_metrics();
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const int job = static_cast<int>(i);
     engine_.schedule_at(records_[i].spec.submit_s,
@@ -109,12 +118,7 @@ SchedResult BatchScheduler::run() {
                            ? stats_.busy_core_s /
                                  (total_cores * stats_.makespan_s)
                            : 0.0;
-  if (collector_) {
-    collector_->gauge("sched/utilization", stats_.utilization);
-    collector_->gauge("sched/makespan_s", stats_.makespan_s);
-    collector_->gauge("sched/max_active_transfers",
-                      static_cast<double>(stats_.deploy.max_active_transfers));
-  }
+  if (collector_) publish(stats_, *collector_);
 
   SchedResult result;
   result.config = config_;
@@ -145,10 +149,7 @@ void BatchScheduler::enqueue(int job) {
 void BatchScheduler::on_submit(int job) {
   const double now = engine_.now();
   JobRecord& rec = records_[static_cast<std::size_t>(job)];
-  if (collector_) {
-    collector_->count("sched/submitted");
-    collector_->instant(1 + job, "submit", "scheduler", now);
-  }
+  if (collector_) collector_->instant(1 + job, "submit", "scheduler", now);
   const bool impossible = rec.spec.nodes > config_.nodes ||
                           rec.spec.cores_per_node > config_.cores_per_node;
   if (impossible || queued_count_ >= config_.queue_capacity) {
@@ -156,7 +157,6 @@ void BatchScheduler::on_submit(int job) {
     rec.end_s = now;
     ++stats_.shed;
     if (collector_) {
-      collector_->count("sched/shed");
       collector_->instant(1 + job, "shed", "scheduler", now);
       collector_->ts_count("sched/submitted", now);
       collector_->ts_count("sched/shed", now);
@@ -277,18 +277,12 @@ void BatchScheduler::start_job(int job, bool backfilled) {
     rec.first_start_s = now;
     const double wait = now - rec.spec.submit_s;
     stats_.queue_wait_s.add(wait);
-    if (collector_) {
-      collector_->observe("sched/queue_wait_s", wait);
-      collector_->ts_observe("sched/queue_wait_s", now, wait);
-    }
+    if (collector_) collector_->ts_observe("sched/queue_wait_s", now, wait);
   }
   if (backfilled) {
     rec.backfilled = true;
     ++stats_.backfill_starts;
-    if (collector_) {
-      collector_->count("sched/backfill_start");
-      collector_->ts_count("sched/backfill_start", now);
-    }
+    if (collector_) collector_->ts_count("sched/backfill_start", now);
   }
   if (collector_) {
     collector_->span(1 + job, "queue-wait", "scheduler", rt.queued_since,
@@ -325,13 +319,10 @@ void BatchScheduler::on_deploy_ready(int job, double now) {
   if (first_compute) {
     const double latency = now - rec.spec.submit_s;
     stats_.start_latency_s.add(latency);
-    if (collector_) {
-      collector_->observe("sched/start_latency_s", latency);
+    if (collector_)
       collector_->ts_observe("sched/start_latency_s", now, latency);
-    }
   }
   if (collector_) {
-    collector_->observe("sched/deploy_s", deploy);
     collector_->ts_observe("sched/deploy_s", now, deploy);
     collector_->span(1 + job, "deploy", "deployment", rec.start_s, deploy);
   }
@@ -409,10 +400,7 @@ void BatchScheduler::on_complete(int job) {
   rec.end_s = now;
   ++stats_.completed;
   stats_.turnaround_s.add(now - rec.spec.submit_s);
-  if (collector_) {
-    collector_->count("sched/completed");
-    collector_->ts_count("sched/completed", now);
-  }
+  if (collector_) collector_->ts_count("sched/completed", now);
   schedule_pass();
 }
 
@@ -425,7 +413,6 @@ void BatchScheduler::requeue_or_fail(int job) {
     ++queued_count_;
     rec.state = JobState::Queued;
     if (collector_) {
-      collector_->count("sched/requeue");
       collector_->ts_count("sched/requeue", now);
       collector_->span(1 + job, "requeue", "fault", now,
                        config_.requeue_delay_s);
@@ -439,10 +426,7 @@ void BatchScheduler::requeue_or_fail(int job) {
   rec.state = JobState::Failed;
   rec.end_s = now;
   ++stats_.failed;
-  if (collector_) {
-    collector_->count("sched/failed");
-    collector_->ts_count("sched/failed", now);
-  }
+  if (collector_) collector_->ts_count("sched/failed", now);
 }
 
 void BatchScheduler::on_crash(int job) {
@@ -457,7 +441,6 @@ void BatchScheduler::on_crash(int job) {
   }
   ++stats_.crashes;
   if (collector_) {
-    collector_->count("sched/crash");
     collector_->ts_count("sched/crash", now);
     collector_->instant(1 + job, "crash", "fault", now);
     collector_->span(1 + job, "compute", "phase", rec.deploy_done_s,
@@ -492,7 +475,6 @@ void BatchScheduler::on_walltime(int job) {
   rec.timed_out = true;
   ++stats_.timeouts;
   if (collector_) {
-    collector_->count("sched/timeout");
     collector_->ts_count("sched/timeout", now);
     collector_->instant(1 + job, "timeout", "fault", now);
   }
@@ -500,10 +482,7 @@ void BatchScheduler::on_walltime(int job) {
   rec.state = JobState::Failed;
   rec.end_s = now;
   ++stats_.failed;
-  if (collector_) {
-    collector_->count("sched/failed");
-    collector_->ts_count("sched/failed", now);
-  }
+  if (collector_) collector_->ts_count("sched/failed", now);
   schedule_pass();
 }
 
@@ -534,7 +513,6 @@ void BatchScheduler::on_burst(const fault::FaultEvent& crash) {
     if (rec.state == JobState::Deploying) pipeline_.cancel(job);
     ++stats_.crashes;
     if (collector_) {
-      collector_->count("sched/crash");
       collector_->ts_count("sched/crash", now);
       collector_->instant(1 + job, "rack-burst", "fault", now);
       if (rec.state == JobState::Running)

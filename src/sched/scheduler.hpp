@@ -184,7 +184,6 @@ class BatchScheduler {
   /// walltime-bounded releases of the active jobs in release order.
   double compute_reservation(int job) const;
   bool job_before(int a, int b) const;
-  void register_metrics();
 
   SchedConfig config_;
   sim::Engine engine_;
@@ -192,7 +191,7 @@ class BatchScheduler {
   const gateway::ImageCatalog& catalog_;
   fault::FaultInjector faults_;
   fault::HazardSchedule hazards_;
-  obs::Collector* collector_;
+  obs::Collector* collector_;  ///< null unless recording
   DeployPipeline pipeline_;
 
   std::vector<JobRecord> records_;

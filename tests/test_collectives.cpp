@@ -1,4 +1,4 @@
-// Collective cost models: hierarchical vs flat (the Docker-UTS effect).
+// The allreduce cost model: hierarchical vs flat (the Docker-UTS effect).
 
 #include <gtest/gtest.h>
 
@@ -67,37 +67,6 @@ TEST(Collectives, FlatEqualsHierarchyForOneRankPerNode) {
   EXPECT_NEAR(flat, hier, hier * 0.01);
 }
 
-TEST(Collectives, BarrierIsZeroByteAllreduce) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  hm::JobMapping map(mn4, 4, 192, 1);
-  hm::CostModel cost(paths, map);
-  hm::Collectives coll(cost);
-  EXPECT_DOUBLE_EQ(coll.barrier(), coll.allreduce(0));
-  EXPECT_LE(coll.barrier(), coll.allreduce(1 << 20));
-}
-
-TEST(Collectives, BcastCheaperThanAllreduce) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  hm::JobMapping map(mn4, 16, 768, 1);
-  hm::CostModel cost(paths, map);
-  hm::Collectives coll(cost);
-  EXPECT_LE(coll.bcast(1024), coll.allreduce(1024));
-  EXPECT_DOUBLE_EQ(coll.reduce(1024), coll.bcast(1024));
-}
-
-TEST(Collectives, AllgatherLinearInRanks) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  auto t = [&](int nodes) {
-    hm::JobMapping map(mn4, nodes, nodes * 48, 1);
-    hm::CostModel cost(paths, map);
-    return hm::Collectives(cost).allgather(64);
-  };
-  EXPECT_GT(t(8) / t(4), 1.8);  // ring steps ~ p-1
-}
-
 TEST(Collectives, SingleRankDegenerate) {
   const auto mn4 = hp::marenostrum4();
   const auto paths = bare_paths(mn4);
@@ -105,7 +74,6 @@ TEST(Collectives, SingleRankDegenerate) {
   hm::CostModel cost(paths, map);
   hm::Collectives coll(cost);
   EXPECT_DOUBLE_EQ(coll.allreduce(8), 0.0);
-  EXPECT_DOUBLE_EQ(coll.allgather(8), 0.0);
 }
 
 TEST(Collectives, TopologyAwareFlagVisible) {
@@ -115,45 +83,4 @@ TEST(Collectives, TopologyAwareFlagVisible) {
   hm::CostModel cost(paths, map);
   EXPECT_TRUE(hm::Collectives(cost, true).topology_aware());
   EXPECT_FALSE(hm::Collectives(cost, false).topology_aware());
-}
-
-TEST(Collectives, AlltoallLinearInRanks) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  auto t = [&](int nodes) {
-    hm::JobMapping map(mn4, nodes, nodes * 48, 1);
-    hm::CostModel cost(paths, map);
-    return hm::Collectives(cost).alltoall(1024);
-  };
-  // Doubling the ranks roughly doubles the pairwise rounds.
-  EXPECT_GT(t(8) / t(4), 1.7);
-  EXPECT_LT(t(8) / t(4), 2.4);
-}
-
-TEST(Collectives, AlltoallDegenerate) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  hm::JobMapping map(mn4, 1, 1, 1);
-  hm::CostModel cost(paths, map);
-  EXPECT_DOUBLE_EQ(hm::Collectives(cost).alltoall(1024), 0.0);
-}
-
-TEST(Collectives, ReduceScatterCheaperThanAllreduceForLargePayloads) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  hm::JobMapping map(mn4, 16, 768, 1);
-  hm::CostModel cost(paths, map);
-  hm::Collectives coll(cost);
-  // Recursive halving moves ~bytes total; allreduce moves bytes per stage.
-  EXPECT_LT(coll.reduce_scatter(1 << 20), coll.allreduce(1 << 20));
-}
-
-TEST(Collectives, ReduceScatterPositiveAndMonotone) {
-  const auto mn4 = hp::marenostrum4();
-  const auto paths = bare_paths(mn4);
-  hm::JobMapping map(mn4, 8, 384, 1);
-  hm::CostModel cost(paths, map);
-  hm::Collectives coll(cost);
-  EXPECT_GT(coll.reduce_scatter(1024), 0.0);
-  EXPECT_GT(coll.reduce_scatter(1 << 20), coll.reduce_scatter(1024));
 }

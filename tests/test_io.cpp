@@ -140,14 +140,6 @@ TEST(IoCheckpoint, AggregateBandwidthBound) {
   EXPECT_GE(n256.time, n64.time * 0.99);
 }
 
-TEST(IoRestart, SymmetricWithCheckpoint) {
-  const auto s = sim();
-  const std::uint64_t bytes = 1ull << 26;
-  EXPECT_DOUBLE_EQ(
-      s.restart_read(hc::RuntimeKind::Shifter, 16, 48, bytes).time,
-      s.checkpoint_write(hc::RuntimeKind::Shifter, 16, 48, bytes).time);
-}
-
 TEST(Io, GeometryValidation) {
   const auto s = sim();
   EXPECT_THROW(s.startup_storm(hc::RuntimeKind::BareMetal, 0, 1, 1, 1),

@@ -607,15 +607,3 @@ TEST(ObsCampaign, HostMetricsCarryPoolDiagnostics) {
   EXPECT_EQ(aggregate.find("pool/"), std::string::npos);
   EXPECT_EQ(aggregate.find("host_s"), std::string::npos);
 }
-
-TEST(ObsCampaign, PhaseCsvIsCanonicalAndStable) {
-  const auto r = observed_run(cfd_scenario(2));
-  std::ostringstream a, b;
-  ho::write_phase_csv(a, r.trace);
-  ho::write_phase_csv(b, observed_run(cfd_scenario(2)).trace);
-  EXPECT_EQ(a.str(), b.str());
-  std::istringstream lines(a.str());
-  std::string header;
-  std::getline(lines, header);
-  EXPECT_EQ(header, "track,category,name,start,duration");
-}

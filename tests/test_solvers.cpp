@@ -1,4 +1,4 @@
-// Krylov solvers: convergence on SPD/nonsymmetric systems, operation
+// The CG solver: convergence on SPD systems, operation
 // accounting, vector kernel correctness.
 
 #include <gtest/gtest.h>
@@ -168,46 +168,6 @@ TEST(Cg, WarmStartFewerIterations) {
   EXPECT_LT(warm.iterations, cold.iterations / 4 + 2);
 }
 
-TEST(Bicgstab, SolvesNonsymmetricSystem) {
-  // Advection-diffusion-like: nonsymmetric off-diagonals.
-  const ha::Index n = 150;
-  std::vector<std::vector<ha::Index>> adj(static_cast<std::size_t>(n));
-  for (ha::Index i = 0; i < n; ++i) {
-    auto& row = adj[static_cast<std::size_t>(i)];
-    if (i > 0) row.push_back(i - 1);
-    row.push_back(i);
-    if (i < n - 1) row.push_back(i + 1);
-  }
-  auto A = ha::CsrMatrix::from_pattern(adj);
-  for (ha::Index i = 0; i < n; ++i) {
-    A.add(i, i, 4.0);
-    if (i > 0) A.add(i, i - 1, -1.5);   // upwind bias
-    if (i < n - 1) A.add(i, i + 1, -0.5);
-  }
-  std::vector<double> x_true(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < x_true.size(); ++i)
-    x_true[i] = std::cos(0.05 * static_cast<double>(i));
-  std::vector<double> b(static_cast<std::size_t>(n)),
-      x(static_cast<std::size_t>(n), 0.0);
-  A.spmv(x_true, b);
-  ha::SolverOptions opts;
-  opts.rel_tolerance = 1e-11;
-  const auto st = ha::bicgstab(A, b, x, opts);
-  ASSERT_TRUE(st.converged);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(x[i], x_true[i], 1e-6);
-}
-
-TEST(Bicgstab, MatchesCgOnSpd) {
-  const auto A = spd_system(100);
-  std::vector<double> b(100, 1.0), x1(100, 0.0), x2(100, 0.0);
-  ha::SolverOptions opts;
-  opts.rel_tolerance = 1e-11;
-  ASSERT_TRUE(ha::conjugate_gradient(A, b, x1, opts).converged);
-  ASSERT_TRUE(ha::bicgstab(A, b, x2, opts).converged);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-6);
-}
-
 TEST(Solvers, OptionValidation) {
   ha::SolverOptions o;
   o.max_iterations = 0;
@@ -221,7 +181,5 @@ TEST(Solvers, SizeMismatchChecked) {
   const auto A = spd_system(10);
   std::vector<double> b(9), x(10);
   EXPECT_THROW(ha::conjugate_gradient(A, b, x, ha::SolverOptions{}),
-               std::invalid_argument);
-  EXPECT_THROW(ha::bicgstab(A, b, x, ha::SolverOptions{}),
                std::invalid_argument);
 }

@@ -29,7 +29,7 @@ TEST(TaskPool, SingleThreadRunsEverything) {
     pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 50);
-  EXPECT_EQ(pool.steal_count(), 0u);  // nobody to steal from
+  EXPECT_EQ(pool.stats().steals, 0u);  // nobody to steal from
 }
 
 TEST(TaskPool, ZeroThreadsThrows) {
@@ -111,7 +111,7 @@ TEST(TaskPool, IdleWorkerStealsFromLoadedQueue) {
   gate.store(true, std::memory_order_release);
   pool.wait_idle();
   EXPECT_EQ(count.load(), 20);
-  EXPECT_GT(pool.steal_count(), 0u);
+  EXPECT_GT(pool.stats().steals, 0u);
 }
 
 TEST(TaskPool, ManyThreadsSeeDistinctWorkers) {

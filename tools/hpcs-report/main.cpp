@@ -49,8 +49,9 @@ constexpr const char* kUsage =
   --check-json PATH     write every verdict (checks and/or SLOs) as
                         hpcs-checks-v1 JSON ("-" = stdout)
   --tolerance F         comm-parity tolerance (default 0.05)
-  --timeseries PATH     hpcs-timeseries-v1 JSON from --timeseries-json;
-                        prints the windowed series tables
+  --timeseries PATH     hpcs-timeseries-v1 JSON (the PATH.json beside a
+                        --timeseries-out PATH); prints the windowed
+                        series tables
   --slo                 evaluate SLO burn-rate objectives over the
                         --timeseries store; exit 1 on any breach
   --slo-threshold F     override the latency-SLO threshold [s]

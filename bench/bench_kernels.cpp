@@ -38,7 +38,8 @@ const ha::Mesh& bench_mesh() {
 }
 
 const ha::CsrMatrix& bench_matrix() {
-  static const ha::CsrMatrix K = ha::assemble_laplacian(bench_mesh());
+  static const ha::CsrMatrix K =
+      ha::assemble_laplacian(ha::MeshGeometry(bench_mesh()));
   return K;
 }
 
@@ -86,7 +87,7 @@ BENCHMARK(BM_Partition)->Arg(8)->Arg(64);
 static void BM_LaplacianAssembly(benchmark::State& state) {
   const auto& mesh = bench_mesh();
   for (auto _ : state) {
-    const auto K = ha::assemble_laplacian(mesh);
+    const auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
     benchmark::DoNotOptimize(K.nnz());
   }
   state.SetItemsProcessed(state.iterations() * bench_mesh().element_count());

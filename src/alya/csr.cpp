@@ -1,14 +1,30 @@
 #include "alya/csr.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace hpcs::alya {
 
 CsrMatrix CsrMatrix::from_pattern(
     const std::vector<std::vector<Index>>& adjacency) {
+  return build(adjacency, 1);
+}
+
+CsrMatrix CsrMatrix::from_node_blocks(
+    const std::vector<std::vector<Index>>& adjacency) {
+  return build(adjacency, 3);
+}
+
+CsrMatrix CsrMatrix::build(const std::vector<std::vector<Index>>& adjacency,
+                           int block) {
+  const auto nodes = static_cast<Index>(adjacency.size());
+  if (nodes > static_cast<Index>(std::numeric_limits<std::uint32_t>::max()))
+    throw std::invalid_argument("CsrMatrix: too many rows for 32-bit blocks");
   CsrMatrix m;
-  m.row_ptr_.reserve(adjacency.size() + 1);
+  m.block_ = block;
+  m.row_ptr_.reserve(adjacency.size() * static_cast<std::size_t>(block) + 1);
   m.row_ptr_.push_back(0);
   for (std::size_t i = 0; i < adjacency.size(); ++i) {
     const auto& row = adjacency[i];
@@ -17,8 +33,14 @@ CsrMatrix CsrMatrix::from_pattern(
     if (!std::binary_search(row.begin(), row.end(), static_cast<Index>(i)))
       throw std::invalid_argument(
           "CsrMatrix: adjacency must include the diagonal");
-    m.cols_.insert(m.cols_.end(), row.begin(), row.end());
-    m.row_ptr_.push_back(static_cast<Index>(m.cols_.size()));
+    if (row.front() < 0 || row.back() >= nodes)
+      throw std::invalid_argument("CsrMatrix: adjacency entry out of range");
+    for (Index j : row) m.block_cols_.push_back(static_cast<std::uint32_t>(j));
+    for (int a = 0; a < block; ++a) {
+      for (Index j : row)
+        for (Index c = 0; c < block; ++c) m.cols_.push_back(block * j + c);
+      m.row_ptr_.push_back(static_cast<Index>(m.cols_.size()));
+    }
   }
   m.vals_.assign(m.cols_.size(), 0.0);
   return m;
@@ -57,25 +79,49 @@ void CsrMatrix::scale(double factor) noexcept {
   for (auto& v : vals_) v *= factor;
 }
 
+template <int B>
+void CsrMatrix::spmv_block_rows(std::span<const double> x,
+                                std::span<double> y, std::size_t begin,
+                                std::size_t end) const {
+  constexpr auto kB = static_cast<std::size_t>(B);
+  for (std::size_t ib = begin; ib < end; ++ib) {
+    const std::size_t row = kB * ib;
+    const auto lo = static_cast<std::size_t>(row_ptr_[row]);
+    const auto len = static_cast<std::size_t>(row_ptr_[row + 1]) - lo;
+    // Every earlier block row holds B rows of whole B x B blocks, so this
+    // block row's columns start at block_cols_[lo / (B*B)].
+    const std::size_t k0 = lo / (kB * kB);
+    // One accumulator per row, each adding its terms in column order:
+    // exactly the scalar loop's sums, with each x block loaded once.
+    double sum[kB] = {};
+    for (std::size_t k = 0; k < len / kB; ++k) {
+      const std::size_t col = kB * block_cols_[k0 + k];
+      double xb[kB] = {};
+      for (std::size_t c = 0; c < kB; ++c) xb[c] = x[col + c];
+      for (std::size_t r = 0; r < kB; ++r)
+        for (std::size_t c = 0; c < kB; ++c)
+          sum[r] += vals_[lo + r * len + kB * k + c] * xb[c];
+    }
+    for (std::size_t r = 0; r < kB; ++r) y[row + r] = sum[r];
+  }
+}
+
 void CsrMatrix::spmv(std::span<const double> x, std::span<double> y,
                      ThreadPool* pool) const {
   const auto n = static_cast<std::size_t>(rows());
   if (x.size() != n || y.size() != n)
     throw std::invalid_argument("CsrMatrix::spmv: size mismatch");
   auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      double sum = 0.0;
-      const auto lo = static_cast<std::size_t>(row_ptr_[i]);
-      const auto hi = static_cast<std::size_t>(row_ptr_[i + 1]);
-      for (std::size_t k = lo; k < hi; ++k)
-        sum += vals_[k] * x[static_cast<std::size_t>(cols_[k])];
-      y[i] = sum;
-    }
+    if (block_ == 3)
+      spmv_block_rows<3>(x, y, begin, end);
+    else
+      spmv_block_rows<1>(x, y, begin, end);
   };
+  const std::size_t block_rows = n / static_cast<std::size_t>(block_);
   if (pool)
-    pool->parallel_for(n, body);
+    pool->parallel_for(block_rows, body);
   else
-    body(0, n);
+    body(0, block_rows);
 }
 
 std::vector<double> CsrMatrix::diagonal() const {

@@ -2,18 +2,34 @@
 
 #include <stdexcept>
 
-#include "alya/hex_shape.hpp"
-
 namespace hpcs::alya {
 
-CsrMatrix assemble_laplacian(const Mesh& mesh) {
-  CsrMatrix K = CsrMatrix::from_pattern(mesh.node_adjacency());
+MeshGeometry::MeshGeometry(const Mesh& mesh)
+    : mesh_(mesh), mass_(static_cast<std::size_t>(mesh.node_count()), 0.0) {
+  const auto gps = hex::gauss_points();
+  for (std::size_t q = 0; q < 8; ++q)
+    shape_[q] = hex::shape(gps[q][0], gps[q][1], gps[q][2]);
+  points_.reserve(8 * static_cast<std::size_t>(mesh.element_count()));
   for (Index e = 0; e < mesh.element_count(); ++e) {
     const auto coords = hex::gather_coords(mesh, e);
     const auto& conn = mesh.element(e);
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& j = points_.emplace_back(
+          hex::jacobian(coords, gps[q][0], gps[q][1], gps[q][2]));
+      for (std::size_t a = 0; a < 8; ++a)
+        mass_[static_cast<std::size_t>(conn[a])] += shape_[q][a] * j.det;
+    }
+  }
+}
+
+CsrMatrix assemble_laplacian(const MeshGeometry& geometry) {
+  const Mesh& mesh = geometry.mesh();
+  CsrMatrix K = CsrMatrix::from_pattern(mesh.node_adjacency());
+  for (Index e = 0; e < mesh.element_count(); ++e) {
+    const auto& conn = mesh.element(e);
     double ke[8][8] = {};
-    for (const auto& gp : hex::gauss_points()) {
-      const auto j = hex::jacobian(coords, gp[0], gp[1], gp[2]);
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& j = geometry.point(e, q);
       for (std::size_t a = 0; a < 8; ++a)
         for (std::size_t b = 0; b < 8; ++b) {
           double g = 0.0;
@@ -29,34 +45,19 @@ CsrMatrix assemble_laplacian(const Mesh& mesh) {
   return K;
 }
 
-std::vector<double> lumped_mass(const Mesh& mesh) {
-  std::vector<double> m(static_cast<std::size_t>(mesh.node_count()), 0.0);
-  for (Index e = 0; e < mesh.element_count(); ++e) {
-    const auto coords = hex::gather_coords(mesh, e);
-    const auto& conn = mesh.element(e);
-    for (const auto& gp : hex::gauss_points()) {
-      const auto n = hex::shape(gp[0], gp[1], gp[2]);
-      const auto j = hex::jacobian(coords, gp[0], gp[1], gp[2]);
-      for (std::size_t a = 0; a < 8; ++a)
-        m[static_cast<std::size_t>(conn[a])] += n[a] * j.det;
-    }
-  }
-  return m;
-}
-
-std::vector<Vec3> nodal_gradient(const Mesh& mesh,
+std::vector<Vec3> nodal_gradient(const MeshGeometry& geometry,
                                  std::span<const double> p) {
+  const Mesh& mesh = geometry.mesh();
   const auto nn = static_cast<std::size_t>(mesh.node_count());
   if (p.size() != nn)
     throw std::invalid_argument("nodal_gradient: size mismatch");
   std::vector<Vec3> g(nn, Vec3{});
-  const auto m = lumped_mass(mesh);
+  const auto& m = geometry.lumped_mass();
   for (Index e = 0; e < mesh.element_count(); ++e) {
-    const auto coords = hex::gather_coords(mesh, e);
     const auto& conn = mesh.element(e);
-    for (const auto& gp : hex::gauss_points()) {
-      const auto n = hex::shape(gp[0], gp[1], gp[2]);
-      const auto j = hex::jacobian(coords, gp[0], gp[1], gp[2]);
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& n = geometry.shape(q);
+      const auto& j = geometry.point(e, q);
       Vec3 gradp{};
       for (std::size_t b = 0; b < 8; ++b) {
         const double pb = p[static_cast<std::size_t>(conn[b])];
@@ -76,19 +77,19 @@ std::vector<Vec3> nodal_gradient(const Mesh& mesh,
   return g;
 }
 
-std::vector<double> nodal_divergence(const Mesh& mesh,
+std::vector<double> nodal_divergence(const MeshGeometry& geometry,
                                      std::span<const Vec3> u) {
+  const Mesh& mesh = geometry.mesh();
   const auto nn = static_cast<std::size_t>(mesh.node_count());
   if (u.size() != nn)
     throw std::invalid_argument("nodal_divergence: size mismatch");
   std::vector<double> d(nn, 0.0);
-  const auto m = lumped_mass(mesh);
+  const auto& m = geometry.lumped_mass();
   for (Index e = 0; e < mesh.element_count(); ++e) {
-    const auto coords = hex::gather_coords(mesh, e);
     const auto& conn = mesh.element(e);
-    for (const auto& gp : hex::gauss_points()) {
-      const auto n = hex::shape(gp[0], gp[1], gp[2]);
-      const auto j = hex::jacobian(coords, gp[0], gp[1], gp[2]);
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& n = geometry.shape(q);
+      const auto& j = geometry.point(e, q);
       double div = 0.0;
       for (std::size_t b = 0; b < 8; ++b) {
         const Vec3& ub = u[static_cast<std::size_t>(conn[b])];
@@ -104,18 +105,19 @@ std::vector<double> nodal_divergence(const Mesh& mesh,
   return d;
 }
 
-std::vector<Vec3> advection_term(const Mesh& mesh, std::span<const Vec3> u) {
+std::vector<Vec3> advection_term(const MeshGeometry& geometry,
+                                 std::span<const Vec3> u) {
+  const Mesh& mesh = geometry.mesh();
   const auto nn = static_cast<std::size_t>(mesh.node_count());
   if (u.size() != nn)
     throw std::invalid_argument("advection_term: size mismatch");
   std::vector<Vec3> adv(nn, Vec3{});
-  const auto m = lumped_mass(mesh);
+  const auto& m = geometry.lumped_mass();
   for (Index e = 0; e < mesh.element_count(); ++e) {
-    const auto coords = hex::gather_coords(mesh, e);
     const auto& conn = mesh.element(e);
-    for (const auto& gp : hex::gauss_points()) {
-      const auto n = hex::shape(gp[0], gp[1], gp[2]);
-      const auto j = hex::jacobian(coords, gp[0], gp[1], gp[2]);
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& n = geometry.shape(q);
+      const auto& j = geometry.point(e, q);
       // u at the Gauss point and its gradient tensor.
       Vec3 ug{};
       double grad[3][3] = {};
@@ -143,25 +145,10 @@ std::vector<Vec3> advection_term(const Mesh& mesh, std::span<const Vec3> u) {
   return adv;
 }
 
-std::vector<std::vector<Index>> vector_dof_adjacency(
-    const std::vector<std::vector<Index>>& node_adjacency) {
-  std::vector<std::vector<Index>> out(node_adjacency.size() * 3);
-  for (std::size_t i = 0; i < node_adjacency.size(); ++i) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      auto& row = out[3 * i + c];
-      row.reserve(node_adjacency[i].size() * 3);
-      for (Index j : node_adjacency[i])
-        for (Index d = 0; d < 3; ++d) row.push_back(3 * j + d);
-    }
-  }
-  return out;
-}
-
 CsrMatrix assemble_elasticity(const Mesh& mesh, double E, double nu) {
   if (E <= 0 || nu <= 0 || nu >= 0.5)
     throw std::invalid_argument("assemble_elasticity: bad material");
-  CsrMatrix K = CsrMatrix::from_pattern(
-      vector_dof_adjacency(mesh.node_adjacency()));
+  CsrMatrix K = CsrMatrix::from_node_blocks(mesh.node_adjacency());
 
   // Isotropic elasticity matrix D (Voigt: xx, yy, zz, xy, yz, zx).
   const double lambda = E * nu / ((1 + nu) * (1 - 2 * nu));

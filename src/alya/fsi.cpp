@@ -33,9 +33,9 @@ FsiDriver::FsiDriver(const Mesh& lumen, const Mesh& wall, FsiParams params,
   wall_inner_ = wall.node_group("inner");
 
   // Nearest-node transfer map: solid inner node -> closest fluid wall node.
-  wall_to_lumen_.resize(wall_inner_.size());
-  for (std::size_t i = 0; i < wall_inner_.size(); ++i) {
-    const Vec3& ps = wall.node(wall_inner_[i]);
+  interface_fluid_nodes_.reserve(wall_inner_.size());
+  for (Index v : wall_inner_) {
+    const Vec3& ps = wall.node(v);
     double best = std::numeric_limits<double>::max();
     std::size_t best_j = 0;
     for (std::size_t j = 0; j < lumen_wall_.size(); ++j) {
@@ -46,8 +46,9 @@ FsiDriver::FsiDriver(const Mesh& lumen, const Mesh& wall, FsiParams params,
         best_j = j;
       }
     }
-    wall_to_lumen_[i] = best_j;
+    interface_fluid_nodes_.push_back(lumen_wall_[best_j]);
   }
+  inner_faces_ = group_faces(wall, "inner");
 
   // Clamped end rings (all three dofs).
   for (Index v : wall.node_group("ends"))
@@ -80,17 +81,11 @@ FsiStepResult FsiDriver::step() {
   for (int k = 0; k < params_.max_coupling_iterations; ++k) {
     // 1. Fluid step with interface velocity (Δd/dt at the wall).
     fluid_.set_state(u0, p0, t0);
-    std::vector<Index> bc_nodes;
     std::vector<Vec3> bc_vel;
-    bc_nodes.reserve(wall_inner_.size());
     bc_vel.reserve(wall_inner_.size());
-    for (std::size_t i = 0; i < wall_inner_.size(); ++i) {
-      const Vec3 v =
-          (disp[i] - interface_disp_prev_step_[i]) * (1.0 / dt);
-      bc_nodes.push_back(lumen_wall_[wall_to_lumen_[i]]);
-      bc_vel.push_back(v);
-    }
-    fluid_.set_wall_velocity(bc_nodes, bc_vel);
+    for (std::size_t i = 0; i < wall_inner_.size(); ++i)
+      bc_vel.push_back((disp[i] - interface_disp_prev_step_[i]) * (1.0 / dt));
+    fluid_.set_wall_velocity(interface_fluid_nodes_, bc_vel);
     fluid_.step();
     ++counters_.interface_exchanges;
 
@@ -99,7 +94,7 @@ FsiStepResult FsiDriver::step() {
     double pmean = 0.0;
     for (double v : pw) pmean += v;
     pmean /= static_cast<double>(pw.size());
-    const auto load = pressure_load(wall_mesh_, "inner", pmean);
+    const auto load = pressure_load(wall_mesh_, inner_faces_, pmean);
 
     // 3. Solid solve.
     const auto& full_disp = solid_.solve(load, solid_fixed_dofs_);

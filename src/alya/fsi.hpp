@@ -79,7 +79,10 @@ class FsiDriver {
 
   std::vector<Index> lumen_wall_;        ///< fluid interface nodes
   std::vector<Index> wall_inner_;        ///< solid interface nodes
-  std::vector<std::size_t> wall_to_lumen_;  ///< nearest-node map
+  /// Fluid wall node nearest each solid interface node (nearest-node
+  /// transfer of the wall velocity).
+  std::vector<Index> interface_fluid_nodes_;
+  std::vector<QuadFace> inner_faces_;    ///< solid faces the fluid loads
   std::vector<Index> solid_fixed_dofs_;  ///< clamped end rings
   std::vector<Vec3> interface_disp_;     ///< per solid inner node, current
   std::vector<Vec3> interface_disp_prev_step_;

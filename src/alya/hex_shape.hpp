@@ -36,7 +36,7 @@ std::array<std::array<double, 3>, 8> shape_deriv(double xi, double eta,
 
 struct JacobianResult {
   double det = 0.0;                          ///< |J| at the point
-  std::array<std::array<double, 3>, 8> dNdx;  ///< physical-space gradients
+  std::array<std::array<double, 3>, 8> dNdx{};  ///< physical-space gradients
 };
 
 /// Jacobian, determinant, and physical gradients at a reference point for

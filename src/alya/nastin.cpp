@@ -28,15 +28,14 @@ void FluidParams::validate() const {
 
 NastinSolver::NastinSolver(const Mesh& mesh, FluidParams params,
                            ThreadPool* pool)
-    : mesh_(mesh), params_(params), pool_(pool) {
+    : mesh_(mesh), geometry_(mesh), params_(params), pool_(pool) {
   params_.validate();
   for (const char* g : {"inlet", "outlet", "wall"})
     if (!mesh_.has_node_group(g))
       throw std::invalid_argument(
           std::string("NastinSolver: mesh lacks node group '") + g + "'");
 
-  laplacian_ = assemble_laplacian(mesh_);
-  mass_ = lumped_mass(mesh_);
+  laplacian_ = assemble_laplacian(geometry_);
   const auto nn = static_cast<std::size_t>(mesh_.node_count());
   u_.assign(nn, Vec3{});
   p_.assign(nn, 0.0);
@@ -55,10 +54,11 @@ NastinSolver::NastinSolver(const Mesh& mesh, FluidParams params,
   // eliminating column j with value g contributes -A_ij * g to b_i.
   w_inlet_.assign(nn, 0.0);
   w_outlet_.assign(nn, 0.0);
+  is_inlet_.assign(nn, 0);
+  for (Index v : mesh_.node_group("inlet"))
+    is_inlet_[static_cast<std::size_t>(v)] = 1;
   {
-    std::vector<char> is_inlet(nn, 0), is_outlet(nn, 0), constrained(nn, 0);
-    for (Index v : mesh_.node_group("inlet"))
-      is_inlet[static_cast<std::size_t>(v)] = 1;
+    std::vector<char> is_outlet(nn, 0), constrained(nn, 0);
     for (Index v : mesh_.node_group("outlet"))
       is_outlet[static_cast<std::size_t>(v)] = 1;
     for (Index v : pressure_dirichlet_nodes_)
@@ -73,7 +73,7 @@ NastinSolver::NastinSolver(const Mesh& mesh, FluidParams params,
           static_cast<std::size_t>(rp[static_cast<std::size_t>(i) + 1]);
       for (std::size_t k = lo; k < hi; ++k) {
         const auto j = static_cast<std::size_t>(cols[k]);
-        if (is_inlet[j])
+        if (is_inlet_[j])
           w_inlet_[static_cast<std::size_t>(i)] -= vals[k];
         else if (is_outlet[j])
           w_outlet_[static_cast<std::size_t>(i)] -= vals[k];
@@ -88,6 +88,10 @@ NastinSolver::NastinSolver(const Mesh& mesh, FluidParams params,
   // Default wall BC: no-slip.
   wall_bc_nodes_ = mesh_.node_group("wall");
   wall_bc_velocity_.assign(wall_bc_nodes_.size(), Vec3{});
+  wall_slot_.assign(nn, -1);
+  for (std::size_t i = wall_bc_nodes_.size(); i-- > 0;)  // first slot wins
+    wall_slot_[static_cast<std::size_t>(wall_bc_nodes_[i])] =
+        static_cast<Index>(i);
 }
 
 void NastinSolver::set_wall_velocity(const std::vector<Index>& nodes,
@@ -95,20 +99,17 @@ void NastinSolver::set_wall_velocity(const std::vector<Index>& nodes,
   if (nodes.size() != velocities.size())
     throw std::invalid_argument("set_wall_velocity: size mismatch");
   // Reset to no-slip, then apply the prescribed subset.
-  wall_bc_nodes_ = mesh_.node_group("wall");
-  wall_bc_velocity_.assign(wall_bc_nodes_.size(), Vec3{});
+  std::fill(wall_bc_velocity_.begin(), wall_bc_velocity_.end(), Vec3{});
   for (std::size_t k = 0; k < nodes.size(); ++k) {
-    bool found = false;
-    for (std::size_t i = 0; i < wall_bc_nodes_.size(); ++i) {
-      if (wall_bc_nodes_[i] == nodes[k]) {
-        wall_bc_velocity_[i] = velocities[k];
-        found = true;
-        break;
-      }
-    }
-    if (!found)
+    const Index v = nodes[k];
+    const Index slot =
+        v >= 0 && v < mesh_.node_count()
+            ? wall_slot_[static_cast<std::size_t>(v)]
+            : -1;
+    if (slot < 0)
       throw std::invalid_argument(
           "set_wall_velocity: node not on the wall");
+    wall_bc_velocity_[static_cast<std::size_t>(slot)] = velocities[k];
   }
 }
 
@@ -135,7 +136,8 @@ void NastinSolver::step() {
   const double rho = params_.density;
 
   // 1. Momentum predictor.
-  const auto adv = advection_term(mesh_, u_);
+  const auto& mass = geometry_.lumped_mass();
+  const auto adv = advection_term(geometry_, u_);
   counters_.assembly_flops += kAdvectionFlops * ne;
   counters_.assembly_bytes += kOperatorBytes * ne;
 
@@ -149,7 +151,7 @@ void NastinSolver::step() {
     counters_.solver_bytes += laplacian_.spmv_bytes();
     ++counters_.spmv_calls;
     for (std::size_t i = 0; i < nn; ++i) {
-      const double visc = -nu * Ku[i] / mass_[i];
+      const double visc = -nu * Ku[i] / mass[i];
       const double a = c == 0 ? adv[i].x : (c == 1 ? adv[i].y : adv[i].z);
       const double du = dt * (visc - a);
       if (c == 0)
@@ -163,22 +165,19 @@ void NastinSolver::step() {
   apply_velocity_bcs(ustar);
 
   // 2. Pressure Poisson (inlet value possibly pulsatile).
-  const auto div = nodal_divergence(mesh_, ustar);
+  const auto div = nodal_divergence(geometry_, ustar);
   counters_.assembly_flops += kDivergenceFlops * ne;
   counters_.assembly_bytes += kOperatorBytes * ne;
 
   const double p_in = current_inlet_pressure();
   const double p_out = params_.outlet_pressure;
-  std::vector<char> is_inlet(nn, 0);
-  for (Index v : mesh_.node_group("inlet"))
-    is_inlet[static_cast<std::size_t>(v)] = 1;
   std::vector<double> b(nn);
   for (std::size_t i = 0; i < nn; ++i)
-    b[i] = -(rho / dt) * mass_[i] * div[i] + w_inlet_[i] * p_in +
+    b[i] = -(rho / dt) * mass[i] * div[i] + w_inlet_[i] * p_in +
            w_outlet_[i] * p_out;
   for (Index v : pressure_dirichlet_nodes_)
     b[static_cast<std::size_t>(v)] =
-        is_inlet[static_cast<std::size_t>(v)] ? p_in : p_out;
+        is_inlet_[static_cast<std::size_t>(v)] ? p_in : p_out;
 
   last_solve_ = conjugate_gradient(poisson_, b, p_,
                                    params_.pressure_solver, pool_);
@@ -194,7 +193,7 @@ void NastinSolver::step() {
   counters_.solver_bytes += last_solve_.mem_bytes;
 
   // 3. Projection.
-  const auto grad = nodal_gradient(mesh_, p_);
+  const auto grad = nodal_gradient(geometry_, p_);
   counters_.assembly_flops += kGradientFlops * ne;
   counters_.assembly_bytes += kOperatorBytes * ne;
   for (std::size_t i = 0; i < nn; ++i)
@@ -215,9 +214,10 @@ double NastinSolver::current_inlet_pressure() const {
 
 double NastinSolver::flow_rate() const {
   // For (nearly) developed flow, int u_z dV = Q * L.
+  const auto& mass = geometry_.lumped_mass();
   double integral = 0.0;
   for (std::size_t i = 0; i < u_.size(); ++i)
-    integral += mass_[i] * u_[i].z;
+    integral += mass[i] * u_[i].z;
   Vec3 lo, hi;
   mesh_.bounding_box(lo, hi);
   const double length = hi.z - lo.z;
@@ -244,7 +244,7 @@ int NastinSolver::run_to_steady_state(double tol, int max_steps) {
 }
 
 double NastinSolver::max_divergence() const {
-  const auto div = nodal_divergence(mesh_, u_);
+  const auto div = nodal_divergence(geometry_, u_);
   double mx = 0.0;
   // Interior nodes only: projected divergence at Dirichlet boundaries is
   // polluted by the BC rows.
@@ -259,9 +259,10 @@ double NastinSolver::max_divergence() const {
 }
 
 double NastinSolver::kinetic_energy() const {
+  const auto& mass = geometry_.lumped_mass();
   double e = 0.0;
   for (std::size_t i = 0; i < u_.size(); ++i)
-    e += 0.5 * params_.density * mass_[i] * u_[i].dot(u_[i]);
+    e += 0.5 * params_.density * mass[i] * u_[i].dot(u_[i]);
   return e;
 }
 

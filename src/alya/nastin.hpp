@@ -112,16 +112,18 @@ class NastinSolver {
   void apply_velocity_bcs(std::vector<Vec3>& u) const;
 
   const Mesh& mesh_;
+  MeshGeometry geometry_;        ///< Gauss-point data and lumped mass
   FluidParams params_;
   ThreadPool* pool_;
 
   CsrMatrix laplacian_;          ///< viscous operator & Poisson matrix base
   CsrMatrix poisson_;            ///< Laplacian with pressure Dirichlet rows
-  std::vector<double> mass_;     ///< lumped mass
   std::vector<Vec3> u_;
   std::vector<double> p_;
-  std::vector<Index> wall_bc_nodes_;
-  std::vector<Vec3> wall_bc_velocity_;
+  std::vector<Index> wall_bc_nodes_;      ///< the "wall" group
+  std::vector<Vec3> wall_bc_velocity_;    ///< per wall_bc_nodes_ slot
+  std::vector<Index> wall_slot_;          ///< node -> slot, -1 off the wall
+  std::vector<char> is_inlet_;            ///< node is in the "inlet" group
   SolveStats last_solve_{};
   FluidCounters counters_{};
   std::vector<Index> pressure_dirichlet_nodes_;

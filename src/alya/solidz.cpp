@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 #include "alya/fem.hpp"
@@ -30,37 +29,51 @@ constexpr int kHexFaces[6][4] = {
 };
 }  // namespace
 
-std::vector<Vec3> pressure_load(const Mesh& mesh, const std::string& group,
-                                double p) {
-  const auto& g = mesh.node_group(group);
-  const std::set<Index> in_group(g.begin(), g.end());
-  std::vector<Vec3> f(static_cast<std::size_t>(mesh.node_count()), Vec3{});
-
+std::vector<QuadFace> group_faces(const Mesh& mesh,
+                                  const std::string& group) {
+  std::vector<char> in_group(static_cast<std::size_t>(mesh.node_count()), 0);
+  for (Index v : mesh.node_group(group))
+    in_group[static_cast<std::size_t>(v)] = 1;
+  std::vector<QuadFace> faces;
   for (Index e = 0; e < mesh.element_count(); ++e) {
     const auto& conn = mesh.element(e);
     for (const auto& face : kHexFaces) {
-      const Index a = conn[static_cast<std::size_t>(face[0])];
-      const Index b = conn[static_cast<std::size_t>(face[1])];
-      const Index c = conn[static_cast<std::size_t>(face[2])];
-      const Index d = conn[static_cast<std::size_t>(face[3])];
-      if (!in_group.count(a) || !in_group.count(b) || !in_group.count(c) ||
-          !in_group.count(d))
-        continue;
-      // Quad area vector via the cross product of the diagonals (exact for
-      // planar quads, second-order otherwise), oriented outward.
-      const Vec3 pa = mesh.node(a), pb = mesh.node(b), pc = mesh.node(c),
-                 pd = mesh.node(d);
-      const Vec3 area_vec = (pc - pa).cross(pd - pb) * 0.5;
-      // Pressure acts against the outward normal of the solid surface:
-      // force = -p * n * A, split evenly over the 4 face nodes.
-      const Vec3 fn = area_vec * (-p * 0.25);
-      f[static_cast<std::size_t>(a)] = f[static_cast<std::size_t>(a)] + fn;
-      f[static_cast<std::size_t>(b)] = f[static_cast<std::size_t>(b)] + fn;
-      f[static_cast<std::size_t>(c)] = f[static_cast<std::size_t>(c)] + fn;
-      f[static_cast<std::size_t>(d)] = f[static_cast<std::size_t>(d)] + fn;
+      QuadFace f{};
+      for (std::size_t k = 0; k < 4; ++k)
+        f[k] = conn[static_cast<std::size_t>(face[k])];
+      if (std::all_of(f.begin(), f.end(), [&](Index v) {
+            return in_group[static_cast<std::size_t>(v)] != 0;
+          }))
+        faces.push_back(f);
     }
   }
+  return faces;
+}
+
+std::vector<Vec3> pressure_load(const Mesh& mesh,
+                                const std::vector<QuadFace>& faces,
+                                double p) {
+  std::vector<Vec3> f(static_cast<std::size_t>(mesh.node_count()), Vec3{});
+  for (const auto& [a, b, c, d] : faces) {
+    // Quad area vector via the cross product of the diagonals (exact for
+    // planar quads, second-order otherwise), oriented outward.
+    const Vec3 pa = mesh.node(a), pb = mesh.node(b), pc = mesh.node(c),
+               pd = mesh.node(d);
+    const Vec3 area_vec = (pc - pa).cross(pd - pb) * 0.5;
+    // Pressure acts against the outward normal of the solid surface:
+    // force = -p * n * A, split evenly over the 4 face nodes.
+    const Vec3 fn = area_vec * (-p * 0.25);
+    f[static_cast<std::size_t>(a)] = f[static_cast<std::size_t>(a)] + fn;
+    f[static_cast<std::size_t>(b)] = f[static_cast<std::size_t>(b)] + fn;
+    f[static_cast<std::size_t>(c)] = f[static_cast<std::size_t>(c)] + fn;
+    f[static_cast<std::size_t>(d)] = f[static_cast<std::size_t>(d)] + fn;
+  }
   return f;
+}
+
+std::vector<Vec3> pressure_load(const Mesh& mesh, const std::string& group,
+                                double p) {
+  return pressure_load(mesh, group_faces(mesh, group), p);
 }
 
 SolidzSolver::SolidzSolver(const Mesh& mesh, SolidParams params,

@@ -8,6 +8,7 @@
 /// analytic reference is Lamé's thick-walled-cylinder solution, which the
 /// test suite checks the radial displacement against.
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,10 +27,22 @@ struct SolidParams {
   void validate() const;
 };
 
-/// Consistent nodal forces equivalent to pressure \p p acting on the mesh
-/// surface spanned by node group \p group, pushing against the outward
-/// surface normal of the solid (i.e. the fluid pushes the wall outward for
-/// the "inner" group of the wall mesh).
+/// A hex's quad face: its 4 node ids, ordered so the right-hand normal
+/// points out of the element.
+using QuadFace = std::array<Index, 4>;
+
+/// The element faces whose 4 nodes all lie in node group \p group, in
+/// element order, then in each hex's face order.
+std::vector<QuadFace> group_faces(const Mesh& mesh, const std::string& group);
+
+/// Consistent nodal forces equivalent to pressure \p p acting on \p faces,
+/// pushing against the outward surface normal of the solid (i.e. the fluid
+/// pushes the wall outward for the "inner" faces of the wall mesh).  The
+/// faces' forces are summed in the order given.
+std::vector<Vec3> pressure_load(const Mesh& mesh,
+                                const std::vector<QuadFace>& faces, double p);
+
+/// pressure_load over the faces group_faces(\p mesh, \p group) finds.
 std::vector<Vec3> pressure_load(const Mesh& mesh, const std::string& group,
                                 double p);
 

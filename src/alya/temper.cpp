@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "alya/hex_shape.hpp"
-
 namespace hpcs::alya {
 
 void ScalarParams::validate() const {
@@ -15,20 +13,20 @@ void ScalarParams::validate() const {
   solver.validate();
 }
 
-std::vector<double> scalar_advection(const Mesh& mesh,
+std::vector<double> scalar_advection(const MeshGeometry& geometry,
                                      std::span<const Vec3> u,
                                      std::span<const double> c) {
+  const Mesh& mesh = geometry.mesh();
   const auto nn = static_cast<std::size_t>(mesh.node_count());
   if (u.size() != nn || c.size() != nn)
     throw std::invalid_argument("scalar_advection: size mismatch");
   std::vector<double> adv(nn, 0.0);
-  const auto m = lumped_mass(mesh);
+  const auto& m = geometry.lumped_mass();
   for (Index e = 0; e < mesh.element_count(); ++e) {
-    const auto coords = hex::gather_coords(mesh, e);
     const auto& conn = mesh.element(e);
-    for (const auto& gp : hex::gauss_points()) {
-      const auto n = hex::shape(gp[0], gp[1], gp[2]);
-      const auto j = hex::jacobian(coords, gp[0], gp[1], gp[2]);
+    for (std::size_t q = 0; q < 8; ++q) {
+      const auto& n = geometry.shape(q);
+      const auto& j = geometry.point(e, q);
       Vec3 ug{};
       Vec3 gradc{};
       for (std::size_t b = 0; b < 8; ++b) {
@@ -50,22 +48,22 @@ std::vector<double> scalar_advection(const Mesh& mesh,
 
 TemperSolver::TemperSolver(const Mesh& mesh, ScalarParams params,
                            ThreadPool* pool)
-    : mesh_(mesh), params_(params), pool_(pool) {
+    : mesh_(mesh), geometry_(mesh), params_(params), pool_(pool) {
   params_.validate();
   for (const char* g : {"inlet", "outlet", "wall"})
     if (!mesh_.has_node_group(g))
       throw std::invalid_argument(
           std::string("TemperSolver: mesh lacks node group '") + g + "'");
 
-  mass_ = lumped_mass(mesh_);
   const auto nn = static_cast<std::size_t>(mesh_.node_count());
   c_.assign(nn, 0.0);
 
   // System matrix: M + dt D K.
-  system_ = assemble_laplacian(mesh_);
+  const auto& mass = geometry_.lumped_mass();
+  system_ = assemble_laplacian(geometry_);
   system_.scale(params_.dt * params_.diffusivity);
   for (Index i = 0; i < mesh_.node_count(); ++i)
-    system_.add(i, i, mass_[static_cast<std::size_t>(i)]);
+    system_.add(i, i, mass[static_cast<std::size_t>(i)]);
 
   for (Index v : mesh_.node_group("inlet")) {
     dirichlet_nodes_.push_back(v);
@@ -99,10 +97,11 @@ void TemperSolver::step(std::span<const Vec3> u) {
   if (u.size() != nn)
     throw std::invalid_argument("TemperSolver::step: velocity size");
 
-  const auto adv = scalar_advection(mesh_, u, c_);
+  const auto adv = scalar_advection(geometry_, u, c_);
+  const auto& mass = geometry_.lumped_mass();
   std::vector<double> rhs(nn);
   for (std::size_t i = 0; i < nn; ++i)
-    rhs[i] = mass_[i] * (c_[i] - params_.dt * adv[i]) + bc_shift_[i];
+    rhs[i] = mass[i] * (c_[i] - params_.dt * adv[i]) + bc_shift_[i];
   for (std::size_t k = 0; k < dirichlet_nodes_.size(); ++k)
     rhs[static_cast<std::size_t>(dirichlet_nodes_[k])] =
         dirichlet_values_[k];
@@ -133,8 +132,9 @@ int TemperSolver::run_to_steady_state(std::span<const Vec3> u, double tol,
 }
 
 double TemperSolver::total_mass() const {
+  const auto& mass = geometry_.lumped_mass();
   double m = 0.0;
-  for (std::size_t i = 0; i < c_.size(); ++i) m += mass_[i] * c_[i];
+  for (std::size_t i = 0; i < c_.size(); ++i) m += mass[i] * c_[i];
   return m;
 }
 

@@ -38,7 +38,7 @@ struct ScalarParams {
 };
 
 /// L2-projected scalar advection a_i = (1/m_i) int N_i (u . grad c) dV.
-std::vector<double> scalar_advection(const Mesh& mesh,
+std::vector<double> scalar_advection(const MeshGeometry& geometry,
                                      std::span<const Vec3> u,
                                      std::span<const double> c);
 
@@ -71,10 +71,10 @@ class TemperSolver {
   void apply_dirichlet_values(std::vector<double>& c) const;
 
   const Mesh& mesh_;
+  MeshGeometry geometry_;       ///< Gauss-point data and lumped mass
   ScalarParams params_;
   ThreadPool* pool_;
   CsrMatrix system_;            ///< M + dt D K with Dirichlet rows
-  std::vector<double> mass_;
   std::vector<double> bc_shift_;
   std::vector<Index> dirichlet_nodes_;
   std::vector<double> dirichlet_values_;

@@ -22,6 +22,17 @@ std::string json_key(const std::string& s) {
   return '"' + json_escape(s) + '"';
 }
 
+/// The windows of series \p name, created empty on first use; the key
+/// string is built only then.
+template <class V>
+std::map<std::int64_t, V>& series(TimeSeries::SeriesMap<V>& store,
+                                  std::string_view name) {
+  const auto it = store.find(name);
+  if (it != store.end()) return it->second;
+  return store.emplace(std::string(name), std::map<std::int64_t, V>{})
+      .first->second;
+}
+
 }  // namespace
 
 TimeSeries::TimeSeries(double window_s, SketchConfig sketch)
@@ -61,12 +72,12 @@ double TimeSeries::window_start(std::int64_t w) const {
 
 void TimeSeries::count(std::string_view name, double t, double delta) {
   std::lock_guard lock(mutex_);
-  counters_[std::string(name)][window_of(t)] += delta;
+  series(counters_, name)[window_of(t)] += delta;
 }
 
 void TimeSeries::gauge(std::string_view name, double t, double value) {
   std::lock_guard lock(mutex_);
-  auto& window = gauges_[std::string(name)];
+  auto& window = series(gauges_, name);
   const std::int64_t w = window_of(t);
   const auto it = window.find(w);
   if (it == window.end() || it->second < value) window[w] = value;
@@ -74,7 +85,7 @@ void TimeSeries::gauge(std::string_view name, double t, double value) {
 
 void TimeSeries::observe(std::string_view name, double t, double value) {
   std::lock_guard lock(mutex_);
-  auto& window = sketches_[std::string(name)];
+  auto& window = series(sketches_, name);
   const std::int64_t w = window_of(t);
   auto it = window.find(w);
   if (it == window.end())
@@ -116,27 +127,24 @@ bool TimeSeries::empty() const {
   return counters_.empty() && gauges_.empty() && sketches_.empty();
 }
 
-std::map<std::string, std::map<std::int64_t, double>> TimeSeries::counters()
-    const {
+TimeSeries::SeriesMap<double> TimeSeries::counters() const {
   std::lock_guard lock(mutex_);
   return counters_;
 }
 
-std::map<std::string, std::map<std::int64_t, double>> TimeSeries::gauges()
-    const {
+TimeSeries::SeriesMap<double> TimeSeries::gauges() const {
   std::lock_guard lock(mutex_);
   return gauges_;
 }
 
-std::map<std::string, std::map<std::int64_t, QuantileSketch>>
-TimeSeries::sketches() const {
+TimeSeries::SeriesMap<QuantileSketch> TimeSeries::sketches() const {
   std::lock_guard lock(mutex_);
   return sketches_;
 }
 
 double TimeSeries::counter_total(std::string_view name) const {
   std::lock_guard lock(mutex_);
-  const auto it = counters_.find(std::string(name));
+  const auto it = counters_.find(name);
   if (it == counters_.end()) return 0.0;
   double total = 0.0;
   for (const auto& [w, v] : it->second) total += v;
@@ -146,7 +154,7 @@ double TimeSeries::counter_total(std::string_view name) const {
 double TimeSeries::counter_value(std::string_view name,
                                  std::int64_t window) const {
   std::lock_guard lock(mutex_);
-  const auto it = counters_.find(std::string(name));
+  const auto it = counters_.find(name);
   if (it == counters_.end()) return 0.0;
   const auto wit = it->second.find(window);
   return wit == it->second.end() ? 0.0 : wit->second;

@@ -22,6 +22,7 @@
 /// nothing is stored for windows with no samples.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -39,6 +40,12 @@ struct JsonValue;
 /// Thread-safe windowed accumulator for counter/gauge/sketch series.
 class TimeSeries {
  public:
+  /// Series name -> window -> value; names compare transparently, so a
+  /// lookup by string_view allocates nothing.
+  template <class V>
+  using SeriesMap =
+      std::map<std::string, std::map<std::int64_t, V>, std::less<>>;
+
   TimeSeries() = default;
   /// \throws std::invalid_argument for window_s <= 0 or a bad sketch
   /// layout.
@@ -70,10 +77,9 @@ class TimeSeries {
   bool empty() const;
 
   /// Snapshots for deterministic iteration (sorted name, then window).
-  std::map<std::string, std::map<std::int64_t, double>> counters() const;
-  std::map<std::string, std::map<std::int64_t, double>> gauges() const;
-  std::map<std::string, std::map<std::int64_t, QuantileSketch>> sketches()
-      const;
+  SeriesMap<double> counters() const;
+  SeriesMap<double> gauges() const;
+  SeriesMap<QuantileSketch> sketches() const;
 
   /// Sum of the named counter series across all windows (0 if unknown).
   double counter_total(std::string_view name) const;
@@ -104,9 +110,9 @@ class TimeSeries {
   mutable std::mutex mutex_;
   double window_s_ = 60.0;
   SketchConfig sketch_{};
-  std::map<std::string, std::map<std::int64_t, double>> counters_;
-  std::map<std::string, std::map<std::int64_t, double>> gauges_;
-  std::map<std::string, std::map<std::int64_t, QuantileSketch>> sketches_;
+  SeriesMap<double> counters_;
+  SeriesMap<double> gauges_;
+  SeriesMap<QuantileSketch> sketches_;
 };
 
 }  // namespace hpcs::obs

@@ -49,8 +49,9 @@ double exact(const ha::Vec3& p) {
 /// returns the mass-weighted L2 error.
 double poisson_l2_error(int n) {
   const auto mesh = unit_cube(n);
-  auto K = ha::assemble_laplacian(mesh);
-  const auto m = ha::lumped_mass(mesh);
+  const ha::MeshGeometry geometry(mesh);
+  auto K = ha::assemble_laplacian(geometry);
+  const auto& m = geometry.lumped_mass();
   const auto nn = static_cast<std::size_t>(mesh.node_count());
 
   std::vector<double> rhs(nn);

@@ -78,7 +78,7 @@ TEST(Csr, SpmvKnownResult) {
 
 TEST(Csr, SpmvThreadedMatchesSerial) {
   const auto mesh = ha::lumen_mesh(ha::TubeParams{});
-  const auto K = ha::assemble_laplacian(mesh);
+  const auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
   std::vector<double> x(static_cast<std::size_t>(K.rows()));
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = std::sin(static_cast<double>(i));

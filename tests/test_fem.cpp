@@ -92,21 +92,22 @@ TEST(HexShape, PhysicalGradientOfLinearField) {
 
 TEST(LumpedMass, SumsToVolume) {
   const auto mesh = box_mesh(3, 2, 4, 1.5, 1.0, 2.0);
-  const auto m = ha::lumped_mass(mesh);
+  const ha::MeshGeometry geometry(mesh);
   double total = 0;
-  for (double v : m) total += v;
+  for (double v : geometry.lumped_mass()) total += v;
   EXPECT_NEAR(total, 1.5 * 1.0 * 2.0, 1e-12);
 }
 
 TEST(LumpedMass, AllPositive) {
   const auto mesh = ha::lumen_mesh(ha::TubeParams{});
-  for (double v : ha::lumped_mass(mesh)) EXPECT_GT(v, 0.0);
+  const ha::MeshGeometry geometry(mesh);
+  for (double v : geometry.lumped_mass()) EXPECT_GT(v, 0.0);
 }
 
 TEST(Laplacian, RowSumsVanish) {
   // Constant fields are in the kernel of the Laplacian.
   const auto mesh = box_mesh(3, 3, 3);
-  const auto K = ha::assemble_laplacian(mesh);
+  const auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
   std::vector<double> ones(static_cast<std::size_t>(K.rows()), 1.0);
   std::vector<double> y(ones.size());
   K.spmv(ones, y);
@@ -115,7 +116,7 @@ TEST(Laplacian, RowSumsVanish) {
 
 TEST(Laplacian, SymmetricPositive) {
   const auto mesh = box_mesh(2, 2, 2);
-  const auto K = ha::assemble_laplacian(mesh);
+  const auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
   for (ha::Index i = 0; i < K.rows(); ++i) {
     EXPECT_GT(K.get(i, i), 0.0);
     for (ha::Index j = 0; j < K.rows(); ++j)
@@ -127,7 +128,7 @@ TEST(Laplacian, LinearPatchTest) {
   // For f = x + 2y + 3z, (K f)_i = 0 at interior nodes (exact gradient
   // representation => zero weak Laplacian against interior test functions).
   const auto mesh = box_mesh(4, 4, 4);
-  const auto K = ha::assemble_laplacian(mesh);
+  const auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
   std::vector<double> f, y(static_cast<std::size_t>(mesh.node_count()));
   for (const auto& p : mesh.nodes()) f.push_back(p.x + 2 * p.y + 3 * p.z);
   K.spmv(f, y);
@@ -146,7 +147,7 @@ TEST(Gradient, LinearFieldExactInterior) {
   const auto mesh = box_mesh(4, 4, 4);
   std::vector<double> f;
   for (const auto& p : mesh.nodes()) f.push_back(3 * p.x - p.y + 0.5 * p.z);
-  const auto g = ha::nodal_gradient(mesh, f);
+  const auto g = ha::nodal_gradient(ha::MeshGeometry(mesh), f);
   for (ha::Index i = 0; i < mesh.node_count(); ++i) {
     const auto& p = mesh.node(i);
     const bool interior = p.x > 1e-9 && p.x < 1 - 1e-9 && p.y > 1e-9 &&
@@ -163,7 +164,7 @@ TEST(Divergence, LinearVelocityExactInterior) {
   std::vector<ha::Vec3> u;
   for (const auto& p : mesh.nodes())
     u.push_back(ha::Vec3{2 * p.x, -3 * p.y, 4 * p.z});  // div = 3
-  const auto d = ha::nodal_divergence(mesh, u);
+  const auto d = ha::nodal_divergence(ha::MeshGeometry(mesh), u);
   for (ha::Index i = 0; i < mesh.node_count(); ++i) {
     const auto& p = mesh.node(i);
     const bool interior = p.x > 1e-9 && p.x < 1 - 1e-9 && p.y > 1e-9 &&
@@ -178,7 +179,7 @@ TEST(Advection, UniformFlowHasNoSelfAdvection) {
   const auto mesh = box_mesh(3, 3, 3);
   std::vector<ha::Vec3> u(static_cast<std::size_t>(mesh.node_count()),
                           ha::Vec3{1.0, 2.0, -0.5});
-  const auto adv = ha::advection_term(mesh, u);
+  const auto adv = ha::advection_term(ha::MeshGeometry(mesh), u);
   for (const auto& a : adv) {
     EXPECT_NEAR(a.x, 0.0, 1e-10);
     EXPECT_NEAR(a.y, 0.0, 1e-10);
@@ -194,7 +195,7 @@ TEST(Advection, LinearShearInterior) {
   const auto mesh = box_mesh(4, 4, 4);
   std::vector<ha::Vec3> u;
   for (const auto& p : mesh.nodes()) u.push_back(ha::Vec3{p.x, 0, 0});
-  const auto adv = ha::advection_term(mesh, u);
+  const auto adv = ha::advection_term(ha::MeshGeometry(mesh), u);
   for (ha::Index i = 0; i < mesh.node_count(); ++i) {
     const auto& p = mesh.node(i);
     const bool interior = p.x > 1e-9 && p.x < 1 - 1e-9 && p.y > 1e-9 &&

@@ -39,15 +39,15 @@ std::string mesh_name(const ::testing::TestParamInfo<MeshCase>& info) {
 
 TEST_P(MeshProperty, MassEqualsVolume) {
   const auto mesh = make();
-  const auto m = ha::lumped_mass(mesh);
+  const ha::MeshGeometry geometry(mesh);
   double total = 0;
-  for (double v : m) total += v;
+  for (double v : geometry.lumped_mass()) total += v;
   EXPECT_NEAR(total, mesh.total_volume(), 1e-9 * total);
 }
 
 TEST_P(MeshProperty, LaplacianAnnihilatesConstants) {
   const auto mesh = make();
-  const auto K = ha::assemble_laplacian(mesh);
+  const auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
   std::vector<double> ones(static_cast<std::size_t>(K.rows()), 1.0),
       y(ones.size());
   K.spmv(ones, y);
@@ -58,7 +58,7 @@ TEST_P(MeshProperty, PoissonSolveConverges) {
   // Dirichlet Poisson problem with the inlet/outlet groups as boundary:
   // CG with Jacobi must converge and reproduce the linear axial profile.
   const auto mesh = make();
-  auto K = ha::assemble_laplacian(mesh);
+  auto K = ha::assemble_laplacian(ha::MeshGeometry(mesh));
   const auto nn = static_cast<std::size_t>(mesh.node_count());
   std::vector<double> rhs(nn, 0.0);
   std::vector<ha::Index> dofs;
@@ -90,7 +90,7 @@ TEST_P(MeshProperty, GradientExactForLinearFields) {
   const auto mesh = make();
   std::vector<double> f;
   for (const auto& p : mesh.nodes()) f.push_back(2.0 * p.z - 1.0);
-  const auto g = ha::nodal_gradient(mesh, f);
+  const auto g = ha::nodal_gradient(ha::MeshGeometry(mesh), f);
   // Interior nodes only (boundary lumping is first-order).
   for (ha::Index i = 0; i < mesh.node_count(); ++i) {
     const auto& p = mesh.node(i);

@@ -53,7 +53,7 @@ TEST(ScalarAdvection, UniformFieldHasNoAdvection) {
   const auto nn = static_cast<std::size_t>(mesh.node_count());
   std::vector<ha::Vec3> u(nn, ha::Vec3{0, 0, 1.0});
   std::vector<double> c(nn, 0.7);
-  for (double v : ha::scalar_advection(mesh, u, c))
+  for (double v : ha::scalar_advection(ha::MeshGeometry(mesh), u, c))
     EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
@@ -63,7 +63,7 @@ TEST(ScalarAdvection, LinearFieldExact) {
   std::vector<ha::Vec3> u(nn, ha::Vec3{0, 0, 2.0});
   std::vector<double> c;
   for (const auto& p : mesh.nodes()) c.push_back(3.0 * p.z);
-  const auto adv = ha::scalar_advection(mesh, u, c);
+  const auto adv = ha::scalar_advection(ha::MeshGeometry(mesh), u, c);
   // u.grad c = 2 * 3 = 6 at interior nodes.
   for (ha::Index i = 0; i < mesh.node_count(); ++i) {
     const auto& p = mesh.node(i);

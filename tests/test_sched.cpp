@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -794,6 +795,53 @@ TEST(SchedGolden, GridCsvMatchesReference) {
   spec.workload.jobs = 100;
   const auto grid = hs::run_sched_grid(spec, 1, false);
   expect_matches_golden("sched_grid.csv", grid_csv(grid));
+}
+
+// Every job's start, end and reservation, bit for bit, for both backfill
+// policies under load 2 with crash faults and rack bursts: a deep queue,
+// requeues and superseded reservations all reach the backfill pass, and
+// the grid golden's aggregates could hide a different start order.
+TEST(SchedGolden, BackfillJobsMatchReference) {
+  constexpr std::uint64_t kSeed = 2024;
+  std::string out =
+      "policy,id,state,first_start_s,start_s,end_s,requeues,backfilled,"
+      "reservation_s,reservation_superseded\n";
+  for (const char* policy : {"backfill-dedicated", "backfill-share"}) {
+    hs::SchedWorkloadSpec workload;
+    workload.jobs = 600;
+    workload.load = 2.0;
+    workload.mix = "container-heavy";
+    hs::SchedConfig config;
+    config.policy = hs::SchedPolicy::preset(policy);
+    const hpcs::sim::Rng root{kSeed};
+    const hg::ImageCatalog catalog(workload.catalog_spec(), root);
+    std::vector<hs::JobSpec> jobs = hs::generate_jobs(workload, root);
+    double horizon = 0.0;  // last submit + every attempt's walltime
+    for (const hs::JobSpec& job : jobs)
+      horizon = std::max(horizon, job.submit_s + (config.max_requeues + 2) *
+                                                     (job.walltime_s +
+                                                      config.requeue_delay_s));
+    hf::HazardSchedule hazards =
+        hf::HazardInjector(hf::HazardSpec::preset("storm"), kSeed)
+            .schedule(horizon, config.nodes);
+    const auto result =
+        run_jobs(config, std::move(jobs), catalog,
+                 hf::FaultSpec::preset("moderate"), std::move(hazards));
+    expect_conservation(result);
+    EXPECT_GT(result.stats.backfill_starts, 0u) << policy;
+    EXPECT_GT(result.stats.requeues, 0u) << policy;
+    char line[512];
+    for (const hs::JobRecord& job : result.jobs) {
+      std::snprintf(line, sizeof line,
+                    "%s,%d,%s,%.17g,%.17g,%.17g,%d,%d,%.17g,%d\n", policy,
+                    job.spec.id, std::string(hs::to_string(job.state)).c_str(),
+                    job.first_start_s, job.start_s, job.end_s, job.requeues,
+                    job.backfilled ? 1 : 0, job.reservation_s,
+                    job.reservation_superseded ? 1 : 0);
+      out += line;
+    }
+  }
+  expect_matches_golden("sched_backfill_jobs.csv", out);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ void NodePool::check_request(int nodes_wanted, int cores_wanted) const {
 bool NodePool::fits(int nodes_wanted, int cores_wanted,
                     AllocMode mode) const {
   check_request(nodes_wanted, cores_wanted);
-  const int gate = mode == AllocMode::Dedicated ? cores_ : cores_wanted;
+  const int gate = occupied_per_node(cores_wanted, mode);
   return count_ge_[static_cast<std::size_t>(gate)] >= nodes_wanted;
 }
 
@@ -57,11 +57,10 @@ std::vector<int> NodePool::allocate(int nodes_wanted, int cores_wanted,
                                     AllocMode mode) {
   if (!fits(nodes_wanted, cores_wanted, mode)) return {};
   const int need = occupied_per_node(cores_wanted, mode);
-  const int gate = mode == AllocMode::Dedicated ? cores_ : cores_wanted;
   std::vector<int> chosen;
   chosen.reserve(static_cast<std::size_t>(nodes_wanted));
   for (std::size_t n = 0; n < free_.size(); ++n) {
-    if (free_[n] >= gate) {
+    if (free_[n] >= need) {
       chosen.push_back(static_cast<int>(n));
       if (static_cast<int>(chosen.size()) == nodes_wanted) break;
     }

@@ -96,6 +96,15 @@ BatchScheduler::BatchScheduler(SchedConfig config, std::vector<JobSpec> jobs,
     records_.push_back(std::move(record));
   }
   runtime_.assign(records_.size(), JobRuntime{});
+  std::vector<JobQueue::Job> queued(records_.size());
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const JobSpec& spec = records_[i].spec;
+    queued[i] = {spec.priority, spec.submit_s,
+                 pool_.occupied_per_node(spec.cores_per_node,
+                                         config_.policy.alloc),
+                 spec.nodes, spec.walltime_s};
+  }
+  queue_ = JobQueue(queued);
 }
 
 SchedResult BatchScheduler::run() {
@@ -112,6 +121,7 @@ SchedResult BatchScheduler::run() {
   engine_.run();
 
   stats_.submitted = records_.size();
+  check_drained();
   stats_.deploy = pipeline_.stats();
   const double total_cores = static_cast<double>(pool_.total_cores());
   stats_.utilization = stats_.makespan_s > 0.0
@@ -128,22 +138,26 @@ SchedResult BatchScheduler::run() {
   return result;
 }
 
-bool BatchScheduler::job_before(int a, int b) const {
-  const JobSpec& ja = records_[static_cast<std::size_t>(a)].spec;
-  const JobSpec& jb = records_[static_cast<std::size_t>(b)].spec;
-  if (ja.priority != jb.priority) return ja.priority > jb.priority;
-  if (ja.submit_s != jb.submit_s) return ja.submit_s < jb.submit_s;
-  return a < b;
+void BatchScheduler::check_drained() const {
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("BatchScheduler: run ended with " + what);
+  };
+  if (!queue_.empty() || queue_.indexed() != 0)
+    fail(std::to_string(queue_.size()) + " job(s) queued and " +
+         std::to_string(queue_.indexed()) + " in the shape index");
+  if (!active_.empty())
+    fail(std::to_string(active_.size()) + " job(s) holding nodes");
+  if (stats_.submitted != stats_.completed + stats_.failed + stats_.shed)
+    fail("submitted " + std::to_string(stats_.submitted) +
+         " != completed + failed + shed " +
+         std::to_string(stats_.completed + stats_.failed + stats_.shed));
 }
 
 void BatchScheduler::enqueue(int job) {
   JobRecord& rec = records_[static_cast<std::size_t>(job)];
   rec.state = JobState::Queued;
   runtime_[static_cast<std::size_t>(job)].queued_since = engine_.now();
-  const auto it = std::upper_bound(
-      pending_.begin(), pending_.end(), job,
-      [this](int a, int b) { return job_before(a, b); });
-  pending_.insert(it, job);
+  queue_.push(job);
 }
 
 void BatchScheduler::on_submit(int job) {
@@ -174,33 +188,24 @@ void BatchScheduler::on_submit(int job) {
 }
 
 void BatchScheduler::schedule_pass() {
-  // Started jobs leave pending_ in one compaction per pass, not one
-  // erase per start.  start_job never touches pending_ (it only
-  // schedules events), so the start order is the same either way.
-  //
   // Drain the head while it fits; under FIFO a blocked head stalls the
   // whole queue (that is the discipline's defining cost).
-  std::size_t first = 0;
-  for (; first < pending_.size(); ++first) {
-    const int head = pending_[first];
+  while (!queue_.empty()) {
+    const int head = queue_.head();
     const JobSpec& spec = records_[static_cast<std::size_t>(head)].spec;
     if (!pool_.fits(spec.nodes, spec.cores_per_node, config_.policy.alloc))
       break;
     start_job(head, false);
   }
-  if (first == pending_.size() ||
-      config_.policy.queue == QueueDiscipline::Fifo) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(first));
+  if (queue_.empty() || config_.policy.queue == QueueDiscipline::Fifo)
     return;
-  }
 
   // EASY backfill: the blocked head holds a reservation at the earliest
   // provable fit time; anything behind it may start only when its
   // walltime guarantees it vacates first.  Each started backfill job
   // releases before the reservation, so the bound stays valid without
-  // recomputation inside the scan.
-  const int head = pending_[first];
+  // recomputation inside the pass.
+  const int head = queue_.head();
   if (reservation_job_ != head) {
     if (reservation_job_ >= 0 &&
         records_[static_cast<std::size_t>(reservation_job_)].state ==
@@ -209,38 +214,28 @@ void BatchScheduler::schedule_pass() {
           .reservation_superseded = true;
     reservation_job_ = head;
   }
-  const double reservation = compute_reservation(head);
   JobRecord& head_rec = records_[static_cast<std::size_t>(head)];
+  // With no queued shape fitting now, nothing can start; the reservation
+  // is then needed only to record the head's first one.
+  if (head_rec.reservation_s >= 0.0 && !queue_.any_shape_fits(pool_))
+    return;
+  const double reservation = compute_reservation(head);
   if (head_rec.reservation_s < 0.0) head_rec.reservation_s = reservation;
-  const double now = engine_.now();
-  std::size_t kept = 0;
-  pending_[kept++] = head;
-  for (std::size_t i = first + 1; i < pending_.size(); ++i) {
-    const int job = pending_[i];
-    const JobSpec& spec = records_[static_cast<std::size_t>(job)].spec;
-    if (pool_.fits(spec.nodes, spec.cores_per_node,
-                   config_.policy.alloc) &&
-        now + spec.walltime_s <= reservation)
-      start_job(job, true);
-    else
-      pending_[kept++] = job;
-  }
-  pending_.resize(kept);
+  queue_.backfill(pool_, engine_.now(), reservation,
+                  [this](int job) { start_job(job, true); });
 }
 
-double BatchScheduler::compute_reservation(int job) const {
+double BatchScheduler::compute_reservation(int job) {
   const JobSpec& spec = records_[static_cast<std::size_t>(job)].spec;
   if (pool_.fits(spec.nodes, spec.cores_per_node, config_.policy.alloc))
     return engine_.now();
-  const int gate = config_.policy.alloc == AllocMode::Dedicated
-                       ? config_.cores_per_node
-                       : spec.cores_per_node;
-  std::vector<int> free(static_cast<std::size_t>(pool_.nodes()));
-  int fitting = 0;  // nodes with at least `gate` free cores
-  for (int n = 0; n < pool_.nodes(); ++n) {
+  const int gate =
+      pool_.occupied_per_node(spec.cores_per_node, config_.policy.alloc);
+  std::vector<int>& free = free_after_;
+  free.resize(static_cast<std::size_t>(pool_.nodes()));
+  int fitting = pool_.nodes_with_free(gate);
+  for (int n = 0; n < pool_.nodes(); ++n)
     free[static_cast<std::size_t>(n)] = pool_.free_cores(n);
-    if (free[static_cast<std::size_t>(n)] >= gate) ++fitting;
-  }
   // Walltime kills are unconditional, so start + walltime is a sound
   // upper bound on every active job's release; active_ holds exactly
   // those bounds, ordered by (time, job).
@@ -268,6 +263,7 @@ void BatchScheduler::start_job(int job, bool backfilled) {
       rec.spec.nodes, rec.spec.cores_per_node, config_.policy.alloc);
   if (nodes.empty())
     throw std::logic_error("BatchScheduler: start_job without a fit");
+  queue_.erase(job);
   --queued_count_;
   if (reservation_job_ == job) reservation_job_ = -1;
 

@@ -23,7 +23,9 @@
 /// Invariants the test harness holds over randomized streams:
 ///   * no node is ever oversubscribed (NodePool throws, and tests
 ///     reconstruct occupancy from the allocation intervals);
-///   * job conservation: submitted = completed + failed + shed;
+///   * job conservation: submitted = completed + failed + shed (run()
+///     also checks it, with an empty queue and no allocation left, in
+///     every build);
 ///   * conservative backfill never delays the blocked head job past its
 ///     first recorded reservation (unless a higher-priority arrival
 ///     superseded it);
@@ -42,6 +44,7 @@
 #include "sched/deploy.hpp"
 #include "sched/nodes.hpp"
 #include "sched/policy.hpp"
+#include "sched/queue.hpp"
 #include "sched/workload.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
@@ -153,6 +156,9 @@ class BatchScheduler {
 
   /// Runs the whole workload to completion (the event queue drains —
   /// every job reaches a terminal state).  Call once.
+  /// \throws std::logic_error when the run ends with a job still queued
+  ///         or holding nodes, or with submitted != completed + failed +
+  ///         shed (a scheduler bug, never a workload condition).
   SchedResult run();
 
  private:
@@ -167,6 +173,11 @@ class BatchScheduler {
   };
 
   void on_submit(int job);
+  /// One scheduling pass: drain the head while it fits, then (backfill
+  /// only) start the queued jobs that fit now and vacate by the blocked
+  /// head's reservation, read off the queue's shape index.  Costs
+  /// O(shapes + starts x log jobs), plus O(active + nodes) when the
+  /// reservation must be computed; never O(pending).
   void schedule_pass();
   void start_job(int job, bool backfilled);
   void on_deploy_ready(int job, double now);
@@ -182,8 +193,10 @@ class BatchScheduler {
   void sample_utilization(double now);
   /// Earliest future time the blocked head provably fits, simulating
   /// walltime-bounded releases of the active jobs in release order.
-  double compute_reservation(int job) const;
-  bool job_before(int a, int b) const;
+  double compute_reservation(int job);
+  /// Throws std::logic_error unless the finished run left nothing queued
+  /// or allocated and conserved every job.
+  void check_drained() const;
 
   SchedConfig config_;
   sim::Engine engine_;
@@ -197,10 +210,11 @@ class BatchScheduler {
   std::vector<JobRecord> records_;
   std::vector<JobRuntime> runtime_;
   std::vector<AllocationInterval> allocations_;
-  std::vector<int> pending_;  ///< queued job ids, priority/submit order
+  JobQueue queue_;  ///< queued jobs, in queue order and by shape
   /// Allocated jobs as (start + walltime, job): the walltime-bounded
   /// release order compute_reservation walks.
   std::set<std::pair<double, int>> active_;
+  std::vector<int> free_after_;  ///< per-node free cores, reservation walk
   int reservation_job_ = -1;  ///< head whose reservation is recorded
   int queued_count_ = 0;      ///< pending + requeue-delayed jobs
   SchedStats stats_;

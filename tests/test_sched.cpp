@@ -28,6 +28,7 @@
 #include "obs/collector.hpp"
 #include "sched/nodes.hpp"
 #include "sched/policy.hpp"
+#include "sched/queue.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/study.hpp"
 #include "sched/workload.hpp"
@@ -268,6 +269,129 @@ TEST(NodePool, FitsMatchesBruteForceScanUnderRandomChurn) {
       }
     }
   }
+}
+
+// ------------------------------------------------------ backfill queue
+
+// JobQueue::backfill reads its jobs off the shape index.  It must start
+// the same jobs, in the same order, as the scan it replaced: walk the
+// whole queue in order and start every job that fits now and vacates by
+// the reservation.  Arrivals, departures, occupancy, clock and
+// reservation are random; submit times and walltimes come from small
+// sets, so ties in queue order and walltimes that end exactly at the
+// reservation are common.
+TEST(SchedBackfill, IndexedPassMatchesScanUnderRandomChurn) {
+  constexpr int kNodes = 8;
+  constexpr int kJobs = 1200;
+  for (const hs::AllocMode mode :
+       {hs::AllocMode::Dedicated, hs::AllocMode::NodeShare}) {
+    for (const int cores_per_node : {4, 12}) {
+      for (const std::uint64_t seed : {1ull, 7ull, 104729ull}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "mode=" << static_cast<int>(mode)
+                     << " cores=" << cores_per_node << " seed=" << seed);
+        hpcs::sim::Rng rng(seed);
+        hs::NodePool pool(kNodes, cores_per_node);
+        std::vector<hs::JobQueue::Job> jobs(kJobs);
+        std::vector<int> cores(kJobs);
+        for (std::size_t id = 0; id < jobs.size(); ++id) {
+          cores[id] = static_cast<int>(rng.uniform_int(1, cores_per_node));
+          jobs[id] = {static_cast<int>(rng.uniform_int(0, 2)),
+                      static_cast<double>(rng.uniform_int(0, 20)),
+                      pool.occupied_per_node(cores[id], mode),
+                      static_cast<int>(rng.uniform_int(1, kNodes)),
+                      100.0 * static_cast<double>(rng.uniform_int(1, 8))};
+        }
+        hs::JobQueue queue(jobs);
+        const auto before = [&jobs](int a, int b) {
+          const hs::JobQueue::Job& ja = jobs[static_cast<std::size_t>(a)];
+          const hs::JobQueue::Job& jb = jobs[static_cast<std::size_t>(b)];
+          if (ja.priority != jb.priority) return ja.priority > jb.priority;
+          if (ja.submit_s != jb.submit_s) return ja.submit_s < jb.submit_s;
+          return a < b;
+        };
+        std::vector<int> pending;  // the scan's view of the queue
+        std::vector<std::pair<std::vector<int>, int>> held;
+        int arrived = 0;
+        double now = 0.0;
+        int passes_with_starts = 0;
+        while (arrived < kJobs) {
+          for (auto n = rng.uniform_int(0, 4); n > 0 && arrived < kJobs;
+               --n, ++arrived) {
+            queue.push(arrived);
+            pending.insert(std::upper_bound(pending.begin(), pending.end(),
+                                            arrived, before),
+                           arrived);
+          }
+          while (!held.empty() && rng.uniform() < 0.5) {
+            const auto pick = static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(held.size()) - 1));
+            pool.release(held[pick].first, held[pick].second, mode);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+          }
+          if (rng.uniform() < 0.3) {  // occupancy from outside the queue
+            const int c =
+                static_cast<int>(rng.uniform_int(1, cores_per_node));
+            std::vector<int> nodes = pool.allocate(
+                static_cast<int>(rng.uniform_int(1, kNodes / 2)), c, mode);
+            if (!nodes.empty()) held.emplace_back(std::move(nodes), c);
+          }
+          now += rng.uniform(0.0, 500.0);
+          const double reservation =
+              now + 100.0 * static_cast<double>(rng.uniform_int(0, 9));
+
+          // The scan the index replaced, on a copy of the pool.
+          hs::NodePool scan_pool = pool;
+          std::vector<int> scanned;
+          for (const int id : pending) {
+            const auto j = static_cast<std::size_t>(id);
+            if (scan_pool.fits(jobs[j].nodes, cores[j], mode) &&
+                now + jobs[j].walltime_s <= reservation) {
+              scan_pool.allocate(jobs[j].nodes, cores[j], mode);
+              scanned.push_back(id);
+            }
+          }
+
+          std::vector<int> started;
+          queue.backfill(pool, now, reservation, [&](int id) {
+            const auto j = static_cast<std::size_t>(id);
+            held.emplace_back(pool.allocate(jobs[j].nodes, cores[j], mode),
+                              cores[j]);
+            queue.erase(id);
+            started.push_back(id);
+          });
+          ASSERT_EQ(started, scanned) << "after " << arrived << " arrivals";
+          for (const int id : started)
+            pending.erase(std::find(pending.begin(), pending.end(), id));
+          ASSERT_EQ(queue.size(), pending.size());
+          ASSERT_EQ(queue.indexed(), pending.size());
+          if (!pending.empty()) {
+            ASSERT_EQ(queue.head(), pending.front());
+          }
+          if (!started.empty()) ++passes_with_starts;
+        }
+        EXPECT_GT(passes_with_starts, 20) << "the pass rarely started jobs";
+      }
+    }
+  }
+}
+
+TEST(SchedBackfill, QueueRejectsUnknownDoubleAndStrayOperations) {
+  hs::JobQueue queue({{0, 0.0, 48, 1, 60.0}, {0, 1.0, 48, 1, 60.0}});
+  queue.push(1);
+  EXPECT_THROW(queue.push(1), std::logic_error);
+  EXPECT_THROW(queue.push(2), std::logic_error);
+  EXPECT_THROW(queue.erase(0), std::logic_error);
+  EXPECT_THROW(queue.erase(-1), std::logic_error);
+  const hs::NodePool pool(1, 48);
+  EXPECT_THROW(queue.backfill(pool, 0.0, 100.0, [](int) {}),
+               std::logic_error)
+      << "a start that leaves its job queued";
+  queue.erase(1);
+  EXPECT_THROW(queue.erase(1), std::logic_error);
+  EXPECT_THROW(queue.head(), std::logic_error);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.indexed(), 0u);
 }
 
 // ------------------------------------------------------- policy / workload

@@ -141,15 +141,18 @@ void JobQueue::backfill(const NodePool& pool, double now,
       s = shape.gate_end - 1;
       continue;
     }
-    if (shape.queued == 0) continue;
+    const std::vector<double>& walltime = shape.walltime_s;
+    if (shape.queued == 0 || !(now + walltime.front() <= reservation))
+      continue;
     // now + walltime is monotone in walltime, so the jobs that vacate by
     // the reservation are a prefix of the shape.
     const auto eligible = static_cast<std::size_t>(
-        std::partition_point(shape.walltime_s.begin(),
-                             shape.walltime_s.end(),
+        std::partition_point(walltime.begin(), walltime.end(),
                              [&](double w) { return now + w <= reservation; }) -
-        shape.walltime_s.begin());
-    const int first = shape.ranks.prefix_min(eligible);
+        walltime.begin());
+    const int first = eligible == walltime.size()
+                          ? shape.ranks.min()
+                          : shape.ranks.prefix_min(eligible);
     if (first != kNone)
       heap_.emplace_back(first, static_cast<int>(s), eligible);
   }

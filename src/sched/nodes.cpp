@@ -49,8 +49,12 @@ void NodePool::check_request(int nodes_wanted, int cores_wanted) const {
 bool NodePool::fits(int nodes_wanted, int cores_wanted,
                     AllocMode mode) const {
   check_request(nodes_wanted, cores_wanted);
-  const int gate = occupied_per_node(cores_wanted, mode);
-  return count_ge_[static_cast<std::size_t>(gate)] >= nodes_wanted;
+  return fits_shape(occupied_per_node(cores_wanted, mode), nodes_wanted);
+}
+
+bool NodePool::fits_shape(int gate, int nodes) const noexcept {
+  return gate >= 0 && gate <= cores_ &&
+         count_ge_[static_cast<std::size_t>(gate)] >= nodes;
 }
 
 std::vector<int> NodePool::allocate(int nodes_wanted, int cores_wanted,

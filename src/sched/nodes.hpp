@@ -13,9 +13,9 @@
 /// tests in tests/test_sched.cpp.
 ///
 /// A histogram of free cores (how many nodes have at least c free) makes
-/// fits() and nodes_with_free() O(1); allocate() and release() keep it
-/// current at O(cores per node) per touched node.  The scheduler's queue
-/// reads the histogram to skip every job shape that cannot fit.
+/// fits() and fits_shape() O(1); allocate() and release() keep it current
+/// at O(cores per node) per touched node.  The scheduler's queue asks
+/// fits_shape() to skip every job shape that cannot fit.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,11 +43,10 @@ class NodePool {
   /// node can host the job exactly when it has that many cores free.
   int occupied_per_node(int cores_wanted, AllocMode mode) const noexcept;
 
-  /// Nodes with at least \p cores free cores.  O(1).
-  /// \throws std::out_of_range unless 0 <= cores <= cores_per_node().
-  int nodes_with_free(int cores) const {
-    return count_ge_.at(static_cast<std::size_t>(cores));
-  }
+  /// True when \p nodes nodes each have at least \p gate free cores now;
+  /// false for a gate outside [0, cores_per_node()], which no node can
+  /// ever meet.  O(1).
+  bool fits_shape(int gate, int nodes) const noexcept;
 
   /// True when \p nodes_wanted nodes x \p cores_wanted cores fit now.
   /// O(1).

@@ -1,36 +1,14 @@
 #include "sched/queue.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace hpcs::sched {
 
-JobQueue::MinTree::MinTree(std::size_t slots)
-    : slots_(slots), tree_(2 * slots, kNone) {}
-
-void JobQueue::MinTree::set(std::size_t slot, int value) {
-  std::size_t i = slot + slots_;
-  tree_[i] = value;
-  for (i >>= 1; i > 0; i >>= 1)
-    tree_[i] = std::min(tree_[2 * i], tree_[2 * i + 1]);
-}
-
-int JobQueue::MinTree::prefix_min(std::size_t end) const {
-  int best = kNone;
-  for (std::size_t lo = slots_, hi = end + slots_; lo < hi;
-       lo >>= 1, hi >>= 1) {
-    if (lo & 1) best = std::min(best, tree_[lo++]);
-    if (hi & 1) best = std::min(best, tree_[--hi]);
-  }
-  return best;
-}
-
-JobQueue::JobQueue(const std::vector<Job>& jobs) : order_(jobs.size()) {
+JobQueue::JobQueue(const std::vector<Job>& jobs) {
   const std::size_t n = jobs.size();
   by_rank_.resize(n);
   std::iota(by_rank_.begin(), by_rank_.end(), 0);
@@ -45,24 +23,19 @@ JobQueue::JobQueue(const std::vector<Job>& jobs) : order_(jobs.size()) {
   for (std::size_t r = 0; r < n; ++r)
     rank_[static_cast<std::size_t>(by_rank_[r])] = static_cast<int>(r);
 
-  // Each shape's jobs in (walltime, id) order.
-  std::map<std::pair<int, int>, std::vector<std::pair<double, int>>> shapes;
+  std::map<std::pair<int, int>, std::vector<int>> shapes;
   for (std::size_t j = 0; j < n; ++j)
-    shapes[{jobs[j].gate, jobs[j].nodes}].emplace_back(jobs[j].walltime_s,
-                                                       static_cast<int>(j));
+    shapes[{jobs[j].gate, jobs[j].nodes}].push_back(static_cast<int>(j));
   shape_of_.resize(n);
-  slot_.resize(n);
-  for (auto& [key, members] : shapes) {
-    std::sort(members.begin(), members.end());
+  walltime_.resize(n);
+  for (const auto& [key, members] : shapes) {
     Shape& shape = shapes_.emplace_back();
     shape.gate = key.first;
     shape.nodes = key.second;
-    shape.ranks = MinTree(members.size());
-    for (std::size_t s = 0; s < members.size(); ++s) {
-      const auto job = static_cast<std::size_t>(members[s].second);
-      shape.walltime_s.push_back(members[s].first);
-      shape_of_[job] = static_cast<int>(shapes_.size() - 1);
-      slot_[job] = static_cast<int>(s);
+    for (const int job : members) {
+      const auto j = static_cast<std::size_t>(job);
+      shape_of_[j] = static_cast<int>(shapes_.size() - 1);
+      walltime_[j] = jobs[j].walltime_s;
     }
   }
   for (std::size_t s = shapes_.size(); s-- > 0;)
@@ -72,59 +45,45 @@ JobQueue::JobQueue(const std::vector<Job>& jobs) : order_(jobs.size()) {
                               : s + 1;
 }
 
-void JobQueue::index(int job, int value) {
-  const auto j = static_cast<std::size_t>(job);
-  Shape& shape = shapes_[static_cast<std::size_t>(shape_of_[j])];
-  shape.ranks.set(static_cast<std::size_t>(slot_[j]), value);
-  if (value == kNone)
-    --shape.queued;
-  else
-    ++shape.queued;
-}
-
 void JobQueue::push(int job) {
   const auto j = static_cast<std::size_t>(job);
   if (job < 0 || j >= rank_.size())
     throw std::logic_error("JobQueue: unknown job " + std::to_string(job));
-  const auto rank = static_cast<std::size_t>(rank_[j]);
-  if (order_.at(rank) != kNone)
+  if (!order_.insert(rank_[j]).second)
     throw std::logic_error("JobQueue: job " + std::to_string(job) +
                            " is already queued");
-  order_.set(rank, rank_[j]);
-  index(job, rank_[j]);
-  ++size_;
+  shapes_[static_cast<std::size_t>(shape_of_[j])].queued.emplace(
+      walltime_[j], rank_[j]);
 }
 
 void JobQueue::erase(int job) {
   const auto j = static_cast<std::size_t>(job);
-  if (job < 0 || j >= rank_.size() ||
-      order_.at(static_cast<std::size_t>(rank_[j])) == kNone)
+  if (job < 0 || j >= rank_.size() || order_.erase(rank_[j]) == 0)
     throw std::logic_error("JobQueue: job " + std::to_string(job) +
                            " is not queued");
-  order_.set(static_cast<std::size_t>(rank_[j]), kNone);
-  index(job, kNone);
-  --size_;
+  shapes_[static_cast<std::size_t>(shape_of_[j])].queued.erase(
+      {walltime_[j], rank_[j]});
 }
 
 std::size_t JobQueue::indexed() const noexcept {
   std::size_t n = 0;
-  for (const Shape& shape : shapes_) n += shape.queued;
+  for (const Shape& shape : shapes_) n += shape.queued.size();
   return n;
 }
 
 int JobQueue::head() const {
   if (empty()) throw std::logic_error("JobQueue: head of an empty queue");
-  return by_rank_[static_cast<std::size_t>(order_.min())];
+  return by_rank_[static_cast<std::size_t>(*order_.begin())];
 }
 
 bool JobQueue::any_shape_fits(const NodePool& pool) const {
   for (std::size_t s = 0; s < shapes_.size();) {
     const Shape& shape = shapes_[s];
-    if (shape.nodes > pool.nodes_with_free(shape.gate)) {
+    if (!pool.fits_shape(shape.gate, shape.nodes)) {
       s = shape.gate_end;
       continue;
     }
-    if (shape.queued > 0) return true;
+    if (!shape.queued.empty()) return true;
     ++s;
   }
   return false;
@@ -133,45 +92,30 @@ bool JobQueue::any_shape_fits(const NodePool& pool) const {
 void JobQueue::backfill(const NodePool& pool, double now,
                         double reservation,
                         const std::function<void(int)>& start) {
-  const auto later = std::greater<>{};
-  heap_.clear();
+  candidates_.clear();
   for (std::size_t s = 0; s < shapes_.size(); ++s) {
     const Shape& shape = shapes_[s];
-    if (shape.nodes > pool.nodes_with_free(shape.gate)) {
+    if (!pool.fits_shape(shape.gate, shape.nodes)) {
       s = shape.gate_end - 1;
       continue;
     }
-    const std::vector<double>& walltime = shape.walltime_s;
-    if (shape.queued == 0 || !(now + walltime.front() <= reservation))
-      continue;
     // now + walltime is monotone in walltime, so the jobs that vacate by
     // the reservation are a prefix of the shape.
-    const auto eligible = static_cast<std::size_t>(
-        std::partition_point(walltime.begin(), walltime.end(),
-                             [&](double w) { return now + w <= reservation; }) -
-        walltime.begin());
-    const int first = eligible == walltime.size()
-                          ? shape.ranks.min()
-                          : shape.ranks.prefix_min(eligible);
-    if (first != kNone)
-      heap_.emplace_back(first, static_cast<int>(s), eligible);
+    for (const auto& [walltime, rank] : shape.queued) {
+      if (!(now + walltime <= reservation)) break;
+      candidates_.push_back(rank);
+    }
   }
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const auto [rank, s, eligible] = heap_.back();
-    heap_.pop_back();
-    const Shape& shape = shapes_[static_cast<std::size_t>(s)];
-    if (shape.nodes > pool.nodes_with_free(shape.gate)) continue;
+  std::sort(candidates_.begin(), candidates_.end());
+  for (const int rank : candidates_) {
     const int job = by_rank_[static_cast<std::size_t>(rank)];
+    const auto s = shape_of_[static_cast<std::size_t>(job)];
+    const Shape& shape = shapes_[static_cast<std::size_t>(s)];
+    if (!pool.fits_shape(shape.gate, shape.nodes)) continue;
     start(job);
-    const int next = shape.ranks.prefix_min(eligible);
-    if (next == rank)
+    if (order_.contains(rank))
       throw std::logic_error("JobQueue: backfill start left job " +
                              std::to_string(job) + " queued");
-    if (next == kNone) continue;
-    heap_.emplace_back(next, s, eligible);
-    std::push_heap(heap_.begin(), heap_.end(), later);
   }
 }
 

@@ -5,25 +5,23 @@
 ///
 /// Jobs leave the queue in (priority desc, submit asc, id asc) order.  A
 /// job's place in that order never changes (a requeue keeps its submit
-/// time), so the queue ranks every job once, when it is built.  A second
-/// index groups the jobs by shape: (gate, nodes), where the gate is the
-/// free cores a node needs to host the job
-/// (NodePool::occupied_per_node).  A shape fits the pool exactly when
-/// NodePool::nodes_with_free(gate) >= nodes, so an EASY backfill pass
-/// reads the jobs it may start off the shapes that fit, without visiting
-/// the rest of the queue.
+/// time), so the queue ranks every job once, when it is built, and holds
+/// the queued ranks in an ordered set.  A second index groups the queued
+/// jobs by shape: (gate, nodes), where the gate is the free cores a node
+/// needs to host the job (NodePool::occupied_per_node).  A shape fits the
+/// pool exactly when NodePool::fits_shape(gate, nodes), so an EASY
+/// backfill pass reads the jobs it may start off the shapes that fit,
+/// without visiting the rest of the queue.
 ///
-/// Each shape keeps its jobs in walltime order under a range-minimum tree
-/// of queue ranks: the first job in queue order among those that vacate by
-/// the reservation (a walltime prefix) is one query.  push() and erase()
-/// cost O(log jobs), head() O(1), any_shape_fits() O(gates + fitting
-/// shapes), and a backfill() pass O((gates + fitting shapes + starts) x
-/// log jobs).
+/// push() and erase() cost O(log jobs), head() O(1), any_shape_fits()
+/// O(gates + fitting shapes), and a backfill() pass O(gates + fitting
+/// shapes + candidates x log candidates), where the candidates are the
+/// queued jobs of fitting shapes that vacate by the reservation.
 
-#include <climits>
 #include <cstddef>
 #include <functional>
-#include <tuple>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sched/nodes.hpp"
@@ -53,8 +51,8 @@ class JobQueue {
   /// \throws std::logic_error when \p job is not queued.
   void erase(int job);
 
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return order_.empty(); }
+  std::size_t size() const noexcept { return order_.size(); }
   /// Jobs held in the shape index: size(), unless the index leaked.
   std::size_t indexed() const noexcept;
 
@@ -71,55 +69,33 @@ class JobQueue {
   /// the jobs a scan of the whole queue would start.  \p start must
   /// allocate the job on \p pool and erase() it, and may queue nothing.
   ///
-  /// Exact because starts only take cores away: a shape that does not fit
-  /// when a pass reaches one of its jobs fits no later in the pass, so
-  /// the pass drops it and visits only the jobs it starts.
+  /// Exact because starts only take cores away and the reservation does
+  /// not move: a shape that does not fit at pass start fits no later in
+  /// the pass, so the candidates, taken from the shapes that fit then and
+  /// sorted into queue order, hold every job the scan would start.
   /// \throws std::logic_error when \p start leaves its job queued.
   void backfill(const NodePool& pool, double now, double reservation,
                 const std::function<void(int)>& start);
 
  private:
-  static constexpr int kNone = INT_MAX;
-
-  /// Range minimum over a fixed number of slots, kNone when unset.
-  class MinTree {
-   public:
-    explicit MinTree(std::size_t slots = 0);
-    void set(std::size_t slot, int value);
-    int at(std::size_t slot) const { return tree_[slot + slots_]; }
-    /// Minimum over slots [0, end).
-    int prefix_min(std::size_t end) const;
-    int min() const noexcept { return slots_ == 0 ? kNone : tree_[1]; }
-
-   private:
-    std::size_t slots_;
-    std::vector<int> tree_;  ///< leaves at [slots_, 2 slots_)
-  };
-
   struct Shape {
     int gate = 0;
     int nodes = 0;
-    std::vector<double> walltime_s;  ///< ascending, one slot per job
-    MinTree ranks;                   ///< queue rank of each queued slot
-    std::size_t queued = 0;
+    /// Queued jobs as (walltime, queue rank): the jobs that vacate by a
+    /// reservation are a prefix.
+    std::set<std::pair<double, int>> queued;
     /// One past the last shape of this gate: shapes of one gate sit
     /// together in nodes order, so the first that does not fit ends them.
     std::size_t gate_end = 0;
   };
 
-  /// Sets \p job's slot in its shape; the only writer of the shape index.
-  void index(int job, int value);
-
-  std::vector<int> rank_;      ///< job -> queue rank
-  std::vector<int> by_rank_;   ///< queue rank -> job
-  std::vector<int> shape_of_;  ///< job -> index into shapes_
-  std::vector<int> slot_;      ///< job -> slot in its shape
-  std::vector<Shape> shapes_;  ///< ordered by (gate, nodes)
-  MinTree order_;              ///< queue rank of each queued job, by rank
-  std::size_t size_ = 0;
-  /// One backfill pass's live shapes as (first eligible rank, shape,
-  /// eligible prefix length), a min-heap on rank.
-  std::vector<std::tuple<int, int, std::size_t>> heap_;
+  std::vector<int> rank_;         ///< job -> queue rank
+  std::vector<int> by_rank_;      ///< queue rank -> job
+  std::vector<int> shape_of_;     ///< job -> index into shapes_
+  std::vector<double> walltime_;  ///< job -> walltime_s
+  std::vector<Shape> shapes_;     ///< ordered by (gate, nodes)
+  std::set<int> order_;           ///< queue ranks of the queued jobs
+  std::vector<int> candidates_;   ///< one backfill pass's ranks
 };
 
 }  // namespace hpcs::sched

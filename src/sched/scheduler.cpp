@@ -233,9 +233,11 @@ double BatchScheduler::compute_reservation(int job) {
       pool_.occupied_per_node(spec.cores_per_node, config_.policy.alloc);
   std::vector<int>& free = free_after_;
   free.resize(static_cast<std::size_t>(pool_.nodes()));
-  int fitting = pool_.nodes_with_free(gate);
-  for (int n = 0; n < pool_.nodes(); ++n)
+  int fitting = 0;  // nodes with at least `gate` free cores
+  for (int n = 0; n < pool_.nodes(); ++n) {
     free[static_cast<std::size_t>(n)] = pool_.free_cores(n);
+    if (free[static_cast<std::size_t>(n)] >= gate) ++fitting;
+  }
   // Walltime kills are unconditional, so start + walltime is a sound
   // upper bound on every active job's release; active_ holds exactly
   // those bounds, ordered by (time, job).

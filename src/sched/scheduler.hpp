@@ -176,8 +176,9 @@ class BatchScheduler {
   /// One scheduling pass: drain the head while it fits, then (backfill
   /// only) start the queued jobs that fit now and vacate by the blocked
   /// head's reservation, read off the queue's shape index.  Costs
-  /// O(shapes + starts x log jobs), plus O(active + nodes) when the
-  /// reservation must be computed; never O(pending).
+  /// O(shapes + candidates x log candidates + starts x log jobs), plus
+  /// O(active + nodes) when the reservation must be computed; never
+  /// O(pending).
   void schedule_pass();
   void start_job(int job, bool backfilled);
   void on_deploy_ready(int job, double now);

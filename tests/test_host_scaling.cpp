@@ -130,9 +130,9 @@ TEST(HostScaling, ObservedRunnerIsLinearInSteps) {
 }
 
 // At load 2 the queue grows with the job count.  A backfill pass that
-// reads its starts off the queue's shape index, with O(log queue) queue
-// upkeep, gives a ratio of about 4-6; a pass that scans every queued job
-// gives 9-12.  8 separates the two.
+// reads its candidates off the queue's shape index gives a ratio of about
+// 4-6; a pass that scans every queued job gives 8-12.  8 separates the
+// two.
 TEST(HostScaling, BackfillCellIsLinearInJobs) {
   constexpr int kJobs = 4000;
   const double one_x = min_backfill_cell_seconds(kJobs, 3);

@@ -666,6 +666,34 @@ TEST(SchedScenario, QueueCapacityShedsAndImpossibleJobsShedInstantly) {
   EXPECT_EQ(result.stats.completed, 3u);
 }
 
+TEST(SchedScenario, OverWideCoreRequestIsShedUnderShareBackfill) {
+  const hg::ImageCatalog catalog(catalog_spec(2, 1u << 20, 1u << 20),
+                                 hpcs::sim::Rng(1));
+  hs::SchedConfig config;
+  config.nodes = 2;
+  config.cores_per_node = 24;
+  config.policy = hs::SchedPolicy::preset("backfill-share");
+  const auto bare = hc::RuntimeKind::BareMetal;
+  std::vector<hs::JobSpec> jobs = {
+      // Fills node 0 until walltime bound 200.
+      make_job(0, 0.0, 1, 100.0, bare, 0, 200.0, 0, 24),
+      // Head: wants both nodes whole -> blocked behind job 0.
+      make_job(1, 1.0, 2, 50.0, bare, 0, 100.0, 0, 24),
+      // More cores than a node has: shed on arrival, and its shape must
+      // not trip the backfill passes that follow.
+      make_job(2, 2.0, 1, 50.0, bare, 0, 100.0, 0, 48),
+      // Fits node 1 and vacates by the reservation: backfills.
+      make_job(3, 3.0, 1, 20.0, bare, 0, 50.0, 0, 12)};
+  const auto result = run_jobs(config, jobs, catalog);
+  expect_conservation(result);
+  expect_no_oversubscription(result);
+  EXPECT_EQ(result.jobs[2].state, hs::JobState::Shed);
+  EXPECT_DOUBLE_EQ(result.jobs[2].end_s, 2.0);
+  EXPECT_TRUE(result.jobs[3].backfilled);
+  EXPECT_DOUBLE_EQ(result.jobs[3].first_start_s, 3.0);
+  EXPECT_EQ(result.stats.completed, 3u);
+}
+
 TEST(SchedScenario, RackBurstRequeuesVictimsWhoThenComplete) {
   const hg::ImageCatalog catalog(catalog_spec(2, 1u << 20, 1u << 20),
                                  hpcs::sim::Rng(1));

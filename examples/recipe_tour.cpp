@@ -1,15 +1,15 @@
 // recipe_tour: the image-lifecycle walkthrough — parse a Dockerfile-like
 // recipe from text, build it natively into the three formats, convert a
-// Docker image for the HPC runtimes, publish to a registry, and watch
-// layer-level caching pay off on a re-deploy.
+// Docker image for the HPC runtimes, and watch layer-level caching pay
+// off on a re-deploy.
 //
 // Build & run:  ./build/examples/recipe_tour
 
 #include <iostream>
-#include <set>
 
 #include "container/builder.hpp"
-#include "container/registry.hpp"
+#include "container/deployment.hpp"
+#include "container/runtime.hpp"
 #include "hw/presets.hpp"
 #include "sim/table.hpp"
 
@@ -17,7 +17,8 @@ namespace hc = hpcs::container;
 using hpcs::sim::TextTable;
 
 int main() {
-  const auto node = hpcs::hw::presets::lenox().node;
+  const auto cluster = hpcs::hw::presets::lenox();
+  const auto node = cluster.node;
 
   // 1. A recipe in the text format (what a user would commit to git).
   const std::string text = R"(
@@ -68,23 +69,21 @@ LABEL maintainer=bsc-containers
             << to_string(sif.image.format()) << " in "
             << TextTable::num(sif.build_time, 1) << " s\n";
 
-  // 4. Registry + layer caching: update one layer and re-pull.
-  hc::Registry registry(1e9, 8);
-  registry.push(docker_img);
-  const std::set<std::string> cold_cache;
-  std::set<std::string> warm_cache;
-  for (const auto& l : docker_img.layers()) warm_cache.insert(l.id);
+  // 4. Layer caching: deploy v1 cold on one node, then re-deploy an
+  //    update with v1's layers already in the node cache.
+  hc::DeploymentSimulator sim(cluster);
+  const auto docker = hc::ContainerRuntime::make(hc::RuntimeKind::Docker);
+  const auto cold = sim.deploy(*docker, docker_img, 1, 1).bytes_transferred;
+  sim.seed_node_cache(docker_img);
 
   // A rebuilt image where only the application layer changed.
   auto recipe2 = hc::Recipe::parse(text);
   recipe2.copy("build/alya-v2 -> /opt/alya/bin/alya", 85 << 20);
   const auto v2 = builder.build(recipe2, hc::ImageFormat::DockerLayered);
-  registry.push(v2.image);
+  const auto warm = sim.deploy(*docker, v2.image, 1, 1).bytes_transferred;
 
-  std::cout << "cold pull of v1: "
-            << registry.bytes_to_transfer(docker_img, cold_cache) / (1 << 20)
-            << " MiB;  v2 update with v1 cached: "
-            << registry.bytes_to_transfer(v2.image, warm_cache) / (1 << 20)
+  std::cout << "cold pull of v1: " << cold / (1 << 20)
+            << " MiB;  v2 update with v1 cached: " << warm / (1 << 20)
             << " MiB (only the changed layer moves)\n";
   return 0;
 }

@@ -3,8 +3,8 @@
 #include <stdexcept>
 
 #include "fault/spec.hpp"
+#include "gateway/study.hpp"
 #include "sim/csv.hpp"
-#include "sim/rng.hpp"
 
 namespace hpcs::gateway {
 
@@ -101,11 +101,6 @@ ChaosCellResult run_chaos_cell(const ChaosGridSpec& spec,
 
   GatewayConfig config = spec.config;
   MitigationSpec::preset(mitigation).apply(config);
-  WorkloadSpec workload = spec.workload;
-  workload.load = spec.load;
-  workload.catalog_images = churn_catalog_images(
-      workload, spec.config.shared_cache_bytes, spec.churn);
-
   // Common random numbers: the seed deliberately excludes the mitigation
   // name, so every bundle faces the *same* arrival stream, catalog, fault
   // draws, and hazard schedule for a given (hazard, runtime) — scorecard
@@ -114,23 +109,14 @@ ChaosCellResult run_chaos_cell(const ChaosGridSpec& spec,
   const std::uint64_t seed = study::cell_seed(
       spec.seed,
       hazard + "/" + std::string(container::to_string(runtime)));
-  const sim::Rng root{seed};
-  const ImageCatalog catalog(workload, root);
-  ArrivalProcess arrivals(workload, root);
-  fault::FaultInjector injector(fault::FaultSpec::preset(spec.faults), seed);
-  const fault::HazardInjector hazard_injector(
-      fault::HazardSpec::preset(hazard), seed);
-
-  obs::Collector collector(observe);  // not observing = disabled, zero cost
-
-  GatewayService service(config, runtime, catalog, std::move(injector),
-                         workload.horizon_s, &collector, hazard_injector);
-  while (const auto request = arrivals.next()) service.submit(*request);
-  cell.stats = service.finish();
-  if (observe) {
-    cell.trace = collector.take_trace();
-    cell.metrics = collector.metrics();
-  }
+  ServiceRun run = run_service(
+      config, spec.workload, spec.load, spec.churn, spec.faults, runtime,
+      seed,
+      fault::HazardInjector(fault::HazardSpec::preset(hazard), seed),
+      /*timeseries_window_s=*/0.0, observe);
+  cell.stats = std::move(run.stats);
+  cell.trace = std::move(run.trace);
+  cell.metrics = std::move(run.metrics);
   return cell;
 }
 

@@ -35,6 +35,46 @@ std::string gateway_cell_key(double load, double churn,
          std::string(container::to_string(runtime));
 }
 
+ServiceRun run_service(const GatewayConfig& config, WorkloadSpec workload,
+                       double load, double churn, const std::string& faults,
+                       container::RuntimeKind runtime, std::uint64_t seed,
+                       const fault::HazardInjector& hazards,
+                       double timeseries_window_s, bool observe) {
+  workload.load = load;
+  workload.catalog_images =
+      churn_catalog_images(workload, config.shared_cache_bytes, churn);
+  const sim::Rng root{seed};
+  const ImageCatalog catalog(workload, root);
+  ArrivalProcess arrivals(workload, root);
+  fault::FaultInjector injector(fault::FaultSpec::preset(faults), seed);
+
+  obs::Collector collector(observe);  // not observing = disabled, zero cost
+  if (timeseries_window_s > 0)
+    collector.enable_timeseries(timeseries_window_s);
+
+  ServiceRun run;
+  GatewayService service(config, runtime, catalog, std::move(injector),
+                         workload.horizon_s, &collector, hazards);
+  while (const auto request = arrivals.next()) service.submit(*request);
+  run.stats = service.finish();
+  if (collector.timeseries_enabled()) {
+    // SLO burn-rate pass over this run's windows; alert intervals land
+    // on their own track (above the workers and the hazard lane) so they
+    // read as service-level annotations in the trace viewer.
+    run.timeseries = collector.timeseries();
+    const int slo_track = 2 + config.workers;
+    for (const obs::SloReport& report :
+         obs::evaluate_slos(run.timeseries,
+                            obs::default_slos(run.timeseries)))
+      obs::emit_slo_alerts(collector, slo_track, report);
+  }
+  if (observe) {
+    run.trace = collector.take_trace();
+    run.metrics = collector.metrics();
+  }
+  return run;
+}
+
 GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
                                    double churn, const std::string& faults,
                                    container::RuntimeKind runtime,
@@ -45,41 +85,14 @@ GatewayCellResult run_gateway_cell(const GatewayGridSpec& spec, double load,
   cell.churn = churn;
   cell.faults = faults;
   cell.runtime = runtime;
-
-  WorkloadSpec workload = spec.workload;
-  workload.load = load;
-  workload.catalog_images =
-      churn_catalog_images(workload, spec.config.shared_cache_bytes, churn);
-
-  const std::uint64_t seed = study::cell_seed(spec.seed, cell.key);
-  const sim::Rng root{seed};
-  const ImageCatalog catalog(workload, root);
-  ArrivalProcess arrivals(workload, root);
-  fault::FaultInjector injector(fault::FaultSpec::preset(faults), seed);
-
-  obs::Collector collector(observe);  // not observing = disabled, zero cost
-  if (spec.timeseries_window_s > 0)
-    collector.enable_timeseries(spec.timeseries_window_s);
-
-  GatewayService service(spec.config, runtime, catalog, std::move(injector),
-                         workload.horizon_s, &collector);
-  while (const auto request = arrivals.next()) service.submit(*request);
-  cell.stats = service.finish();
-  if (collector.timeseries_enabled()) {
-    // SLO burn-rate pass over this cell's windows; alert intervals land
-    // on their own track (above the workers and the hazard lane) so they
-    // read as service-level annotations in the trace viewer.
-    cell.timeseries = collector.timeseries();
-    const int slo_track = 2 + spec.config.workers;
-    for (const obs::SloReport& report :
-         obs::evaluate_slos(cell.timeseries,
-                            obs::default_slos(cell.timeseries)))
-      obs::emit_slo_alerts(collector, slo_track, report);
-  }
-  if (observe) {
-    cell.trace = collector.take_trace();
-    cell.metrics = collector.metrics();
-  }
+  ServiceRun run = run_service(
+      spec.config, spec.workload, load, churn, faults, runtime,
+      study::cell_seed(spec.seed, cell.key), {}, spec.timeseries_window_s,
+      observe);
+  cell.stats = std::move(run.stats);
+  cell.trace = std::move(run.trace);
+  cell.metrics = std::move(run.metrics);
+  cell.timeseries = std::move(run.timeseries);
   return cell;
 }
 

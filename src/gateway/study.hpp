@@ -66,6 +66,26 @@ struct GatewayGridResult : study::Grid<GatewayCellResult> {
   void write_csv(std::ostream& out) const;
 };
 
+/// What one seeded GatewayService run leaves behind.
+struct ServiceRun {
+  GatewayStats stats;
+  obs::TraceData trace;        ///< empty unless observed
+  obs::Metrics metrics;        ///< empty unless observed
+  obs::TimeSeries timeseries;  ///< empty unless timeseries_window_s > 0
+};
+
+/// The run behind every gateway-grid and chaos cell: \p workload at
+/// offered \p load, its catalog sized to \p churn times the shared tier,
+/// through one GatewayService under \p config.  The catalog, arrivals
+/// and fault draws (preset \p faults) come from \p seed; \p hazards
+/// layers correlated hazards on top.  A positive \p timeseries_window_s
+/// (observed runs only) adds windowed telemetry and SLO alert spans.
+ServiceRun run_service(const GatewayConfig& config, WorkloadSpec workload,
+                       double load, double churn, const std::string& faults,
+                       container::RuntimeKind runtime, std::uint64_t seed,
+                       const fault::HazardInjector& hazards,
+                       double timeseries_window_s, bool observe);
+
 /// The cell key ("load-2/churn-8/moderate/Docker") — also the seed name.
 std::string gateway_cell_key(double load, double churn,
                              const std::string& faults,

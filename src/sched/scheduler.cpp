@@ -381,19 +381,41 @@ void BatchScheduler::sample_utilization(double now) {
                        total > 0.0 ? busy / total : 0.0);
 }
 
-void BatchScheduler::on_complete(int job) {
+void BatchScheduler::end_attempt(int job) {
   const double now = engine_.now();
   JobRecord& rec = records_[static_cast<std::size_t>(job)];
   JobRuntime& rt = runtime_[static_cast<std::size_t>(job)];
-  rt.end_ev = kNoEvent;
-  if (rt.walltime_ev != kNoEvent) {
-    engine_.cancel(rt.walltime_ev);
-    rt.walltime_ev = kNoEvent;
+  // The event that ended the attempt has fired already; cancelling its
+  // stale id is a no-op.
+  for (sim::EventId* ev : {&rt.end_ev, &rt.walltime_ev}) {
+    if (*ev != kNoEvent) engine_.cancel(*ev);
+    *ev = kNoEvent;
   }
-  if (collector_)
+  if (rec.state == JobState::Deploying) {
+    pipeline_.cancel(job);
+    if (collector_)
+      collector_->span(1 + job, "deploy", "deployment", rec.start_s,
+                       now - rec.start_s);
+  } else if (collector_) {
     collector_->span(1 + job, "compute", "phase", rec.deploy_done_s,
                      now - rec.deploy_done_s);
+  }
   release_job(job);
+}
+
+void BatchScheduler::fail_job(int job) {
+  const double now = engine_.now();
+  JobRecord& rec = records_[static_cast<std::size_t>(job)];
+  rec.state = JobState::Failed;
+  rec.end_s = now;
+  ++stats_.failed;
+  if (collector_) collector_->ts_count("sched/failed", now);
+}
+
+void BatchScheduler::on_complete(int job) {
+  const double now = engine_.now();
+  JobRecord& rec = records_[static_cast<std::size_t>(job)];
+  end_attempt(job);
   rec.state = JobState::Completed;
   rec.end_s = now;
   ++stats_.completed;
@@ -421,30 +443,19 @@ void BatchScheduler::requeue_or_fail(int job) {
     });
     return;
   }
-  rec.state = JobState::Failed;
-  rec.end_s = now;
-  ++stats_.failed;
-  if (collector_) collector_->ts_count("sched/failed", now);
+  fail_job(job);
 }
 
 void BatchScheduler::on_crash(int job) {
   const double now = engine_.now();
-  JobRecord& rec = records_[static_cast<std::size_t>(job)];
-  if (rec.state != JobState::Running) return;
-  JobRuntime& rt = runtime_[static_cast<std::size_t>(job)];
-  rt.end_ev = kNoEvent;
-  if (rt.walltime_ev != kNoEvent) {
-    engine_.cancel(rt.walltime_ev);
-    rt.walltime_ev = kNoEvent;
-  }
+  if (records_[static_cast<std::size_t>(job)].state != JobState::Running)
+    return;
+  end_attempt(job);
   ++stats_.crashes;
   if (collector_) {
     collector_->ts_count("sched/crash", now);
     collector_->instant(1 + job, "crash", "fault", now);
-    collector_->span(1 + job, "compute", "phase", rec.deploy_done_s,
-                     now - rec.deploy_done_s);
   }
-  release_job(job);
   requeue_or_fail(job);
   schedule_pass();
 }
@@ -454,33 +465,14 @@ void BatchScheduler::on_walltime(int job) {
   JobRecord& rec = records_[static_cast<std::size_t>(job)];
   if (rec.state != JobState::Deploying && rec.state != JobState::Running)
     return;
-  JobRuntime& rt = runtime_[static_cast<std::size_t>(job)];
-  rt.walltime_ev = kNoEvent;
-  if (rec.state == JobState::Deploying) {
-    pipeline_.cancel(job);
-    if (collector_)
-      collector_->span(1 + job, "deploy", "deployment", rec.start_s,
-                       now - rec.start_s);
-  } else {
-    if (rt.end_ev != kNoEvent) {
-      engine_.cancel(rt.end_ev);
-      rt.end_ev = kNoEvent;
-    }
-    if (collector_)
-      collector_->span(1 + job, "compute", "phase", rec.deploy_done_s,
-                       now - rec.deploy_done_s);
-  }
+  end_attempt(job);
   rec.timed_out = true;
   ++stats_.timeouts;
   if (collector_) {
     collector_->ts_count("sched/timeout", now);
     collector_->instant(1 + job, "timeout", "fault", now);
   }
-  release_job(job);
-  rec.state = JobState::Failed;
-  rec.end_s = now;
-  ++stats_.failed;
-  if (collector_) collector_->ts_count("sched/failed", now);
+  fail_job(job);
   schedule_pass();
 }
 
@@ -498,26 +490,12 @@ void BatchScheduler::on_burst(const fault::FaultEvent& crash) {
   }
   std::sort(victims.begin(), victims.end());
   for (const int job : victims) {
-    JobRecord& rec = records_[static_cast<std::size_t>(job)];
-    JobRuntime& rt = runtime_[static_cast<std::size_t>(job)];
-    if (rt.end_ev != kNoEvent) {
-      engine_.cancel(rt.end_ev);
-      rt.end_ev = kNoEvent;
-    }
-    if (rt.walltime_ev != kNoEvent) {
-      engine_.cancel(rt.walltime_ev);
-      rt.walltime_ev = kNoEvent;
-    }
-    if (rec.state == JobState::Deploying) pipeline_.cancel(job);
+    end_attempt(job);
     ++stats_.crashes;
     if (collector_) {
       collector_->ts_count("sched/crash", now);
       collector_->instant(1 + job, "rack-burst", "fault", now);
-      if (rec.state == JobState::Running)
-        collector_->span(1 + job, "compute", "phase", rec.deploy_done_s,
-                         now - rec.deploy_done_s);
     }
-    release_job(job);
     requeue_or_fail(job);
   }
   if (!victims.empty()) schedule_pass();

@@ -186,6 +186,13 @@ class BatchScheduler {
   void on_crash(int job);
   void on_walltime(int job);
   void on_burst(const fault::FaultEvent& burst);
+  /// Ends the job's current attempt, whatever ended it: cancels its
+  /// pending completion and walltime events, closes the open phase span
+  /// (cancelling the deploy if it was still deploying), and releases its
+  /// nodes.  The one caller of release_job and pipeline_.cancel.
+  void end_attempt(int job);
+  /// Terminal failure: the job gives up for good.
+  void fail_job(int job);
   void requeue_or_fail(int job);
   void release_job(int job);
   void enqueue(int job);

@@ -1,4 +1,4 @@
-#include "mpi/des_replay.hpp"
+#include "support/des_replay.hpp"
 
 #include <algorithm>
 #include <stdexcept>

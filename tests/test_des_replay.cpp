@@ -6,8 +6,8 @@
 
 #include "container/transport.hpp"
 #include "hw/presets.hpp"
-#include "mpi/des_replay.hpp"
 #include "sim/rng.hpp"
+#include "support/des_replay.hpp"
 
 namespace hm = hpcs::mpi;
 namespace hc = hpcs::container;

@@ -185,6 +185,25 @@ TEST(LintRules, Hyg005AcceptsStreamParametersReadsAndSaveOutputs) {
   expect_findings("examples/fixture.cpp", "hyg005_good.cpp", {});
 }
 
+TEST(LintRules, Hyg006FlagsSeedHashingOutsideTheGrid) {
+  const std::vector<Expected> each_use = {
+      {10, "HYG-006"}, {11, "HYG-006"}, {15, "HYG-006"}, {16, "HYG-006"}};
+  expect_findings("src/gateway/fixture.cpp", "hyg006_bad.cpp", each_use);
+  expect_findings("bench/fixture.cpp", "hyg006_bad.cpp", each_use);
+  expect_findings("examples/fixture.cpp", "hyg006_bad.cpp", each_use);
+}
+
+TEST(LintRules, Hyg006ExemptsTheGridTheRngTestsAndTools) {
+  expect_findings("src/core/grid.cpp", "hyg006_bad.cpp", {});
+  expect_findings("src/sim/rng.cpp", "hyg006_bad.cpp", {});
+  expect_findings("tests/fixture.cpp", "hyg006_bad.cpp", {});
+  expect_findings("tools/hpcs-report/fixture.cpp", "hyg006_bad.cpp", {});
+}
+
+TEST(LintRules, Hyg006AcceptsCellSeedAndNamedStreams) {
+  expect_findings("src/sched/fixture.cpp", "hyg006_good.cpp", {});
+}
+
 TEST(LintRules, Det005FlagsUnorderedIterationReachingEmitters) {
   expect_findings("src/core/stats.cpp", "det005_bad.cpp",
                   {{9, "DET-005"}, {14, "DET-005"}, {20, "DET-005"}});

@@ -717,6 +717,31 @@ TEST(SchedScenario, RackBurstRequeuesVictimsWhoThenComplete) {
   }
 }
 
+TEST(SchedScenario, RackBurstDuringDeployRecordsDeploySpan) {
+  const hg::ImageCatalog catalog(
+      catalog_spec(1, 2ull << 30, 2ull << 30), hpcs::sim::Rng(1));
+  hs::SchedConfig config;
+  config.nodes = 2;
+  // 2 GiB over the 0.25 GB/s uplink needs ~8.6 s; the burst at t=3 kills
+  // the job mid-deploy.
+  hf::HazardSchedule hazards;
+  hazards.bursts.push_back(hf::RackBurst{3.0, 0, 1});
+  std::vector<hs::JobSpec> jobs = {
+      make_job(0, 0.0, 1, 100.0, hc::RuntimeKind::Docker)};
+  ho::Collector collector(true);
+  const auto result =
+      run_jobs(config, jobs, catalog, {}, hazards, &collector);
+  ASSERT_EQ(result.stats.crashes, 1u);
+  EXPECT_EQ(result.jobs[0].state, hs::JobState::Completed);
+  const ho::TraceData trace = collector.take_trace();
+  bool killed_deploy = false;
+  for (const ho::SpanEvent& span : trace.spans)
+    killed_deploy |= span.track == 1 && span.name == "deploy" &&
+                     span.start == 0.0 && span.end() == 3.0;
+  EXPECT_TRUE(killed_deploy)
+      << "no deploy span on job 0's track ends at the burst";
+}
+
 // ------------------------------------------------------ deploy mechanisms
 
 // Scheduled events capture `this`: the scheduler must stay put.

@@ -280,6 +280,10 @@ const std::vector<RuleInfo>& rule_catalog() {
        "no std::ofstream construction in src/, bench/ or examples/ "
        "outside the artifact writer (src/core/cli.cpp); programs save "
        "through study::save_outputs"},
+      {"HYG-006",
+       "no sim::hash64/sim::splitmix64 in src/, bench/ or examples/ "
+       "outside the RNG (src/sim/rng.*) and the grid's cell_seed "
+       "(src/core/grid.cpp); seeds derive from cell keys there"},
       {"LNT-901", "inline suppressions must carry a written reason"},
       {"LNT-902", "inline suppressions must name a known rule"},
   };
@@ -316,6 +320,12 @@ const std::vector<AllowEntry>& builtin_allowlist() {
       {"src/core/cli.cpp", "HYG-005",
        "probe_output_paths and save_outputs: the one module that opens "
        "artifact files and checks that they reached disk"},
+      {"src/core/grid.cpp", "HYG-006",
+       "cell_seed: the one place a cell key is hashed into a seed"},
+      {"src/sim/rng.hpp", "HYG-006",
+       "the hash and mixer's own definition"},
+      {"src/sim/rng.cpp", "HYG-006",
+       "named child streams hash their names into the parent seed"},
       {"src/sim/rng.hpp", "DET-002",
        "the deterministic RNG facility every other module must use"},
       {"src/sim/rng.cpp", "DET-002",
@@ -390,6 +400,9 @@ std::vector<Finding> lint_file(const ScannedFile& f) {
                          cls == FileClass::Bench ||
                          cls == FileClass::Example || cls == FileClass::Other;
   const bool serial = det_scope && looks_serialization(f);
+  // HYG-005/006 cover the programs' own code: src/, bench/, examples/.
+  const bool program = cls == FileClass::Library ||
+                       cls == FileClass::Bench || cls == FileClass::Example;
 
   const std::map<int, std::set<std::string>> allow =
       suppression_map(f, &out);
@@ -448,12 +461,15 @@ std::vector<Finding> lint_file(const ScannedFile& f) {
         add(ln, "HYG-004",
             "TaskPool constructed outside src/core/grid.cpp; fan out "
             "through study::run_cells");
-      if ((cls == FileClass::Library || cls == FileClass::Bench ||
-           cls == FileClass::Example) &&
-          name == "ofstream" && constructs(code, pos, pos + name.size()))
+      if (program && name == "ofstream" &&
+          constructs(code, pos, pos + name.size()))
         add(ln, "HYG-005",
             "std::ofstream constructed outside src/core/cli.cpp; save "
             "artifacts through study::save_outputs");
+      if (program && (name == "hash64" || name == "splitmix64"))
+        add(ln, "HYG-006",
+            "'" + name + "' outside src/core/grid.cpp; derive seeds "
+            "through study::cell_seed or a named Rng child stream");
     });
   }
   if (header && !has_pragma_once)
